@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from fractions import Fraction
 from math import comb
 
 from .gradedideal import GradedIdeal, graded_betti, sdefect as lab_sdefect
@@ -58,29 +60,44 @@ def canonical_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _parse_kv_spec(spec: str) -> dict:
-    """Parse 'random:s=8,seed=1' / 'random:degrees=[1,1,2,2],seed=7' specs."""
-    body = spec.split(":", 1)[1] if ":" in spec else ""
+_SPEC_ITEM = re.compile(r"(\w+)=(\[[^\[\]]*\]|[^,\[\]]*)(?:,|$)")
+
+
+def _parse_kv_spec(spec: str, schema: dict[str, type], required: str) -> dict:
+    """Parse 'random:s=8,seed=1' / 'random:degrees=[1,1,2,2],seed=7' specs.
+
+    ``schema`` maps each accepted key to ``int`` or ``list`` (of ints); the
+    key ``required`` must be present.  Anything else is a ValueError.
+    """
+    body = spec.split(":", 1)[1]
     out: dict = {}
-    i = 0
-    while i < len(body):
-        j = body.index("=", i)
-        key = body[i:j]
-        if j + 1 < len(body) and body[j + 1] == "[":
-            k = body.index("]", j)
-            out[key] = [int(t) for t in body[j + 2 : k].split(",") if t]
-            i = k + 2
-        else:
-            k = body.find(",", j)
-            k = len(body) if k == -1 else k
-            out[key] = int(body[j + 1 : k])
-            i = k + 1
+    pos = 0
+    while pos < len(body):
+        item = _SPEC_ITEM.match(body, pos)
+        if item is None:
+            raise ValueError(f"malformed spec {spec!r}: expected key=value items at {body[pos:]!r}")
+        key, text = item.groups()
+        kind = schema.get(key)
+        if kind is None:
+            raise ValueError(f"spec {spec!r}: unknown key {key!r} (accepted: {', '.join(schema)})")
+        if key in out:
+            raise ValueError(f"spec {spec!r}: {key} given twice")
+        is_list = text.startswith("[")
+        if is_list != (kind is list):
+            raise ValueError(f"spec {spec!r}: {key} must be {'a list like [1,2]' if kind is list else 'an integer'}")
+        try:
+            out[key] = [int(t) for t in text[1:-1].split(",") if t] if is_list else int(text)
+        except ValueError:
+            raise ValueError(f"spec {spec!r}: {key} must hold integers") from None
+        pos = item.end()
+    if required not in out:
+        raise ValueError(f"spec {spec!r} needs {required}=")
     return out
 
 
 def load_points(spec: str, field: PrimeField, default_seed: int) -> PointSet:
     if spec.startswith("random:"):
-        kv = _parse_kv_spec(spec)
+        kv = _parse_kv_spec(spec, {"s": int, "seed": int}, "s")
         return random_general_points(kv["s"], kv.get("seed", default_seed), field.p)
     rows = []
     with open(spec) as fh:
@@ -91,15 +108,20 @@ def load_points(spec: str, field: PrimeField, default_seed: int) -> PointSet:
             parts = line.split(":")
             if len(parts) != 3:
                 raise ValueError(f"{spec}:{lineno}: expected a:b:c")
-            from fractions import Fraction
-
-            rows.append(tuple(field.of(Fraction(t)) for t in parts))
+            try:
+                rows.append(tuple(field.of(Fraction(t)) for t in parts))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(
+                    f"{spec}:{lineno}: entries must be integers or p/q with q nonzero mod {field.p}"
+                ) from None
+    if not rows:
+        raise ValueError(f"{spec}: no points")
     return make_point_set(rows, field)
 
 
 def load_lines(spec: str, field: PrimeField, default_seed: int) -> list[HomogPoly]:
     if spec.startswith("random:"):
-        kv = _parse_kv_spec(spec)
+        kv = _parse_kv_spec(spec, {"s": int, "seed": int}, "s")
         return random_general_lines(kv["s"], kv.get("seed", default_seed), field.p)
     out = []
     with open(spec) as fh:
@@ -114,9 +136,20 @@ def load_lines(spec: str, field: PrimeField, default_seed: int) -> list[HomogPol
     return out
 
 
+def load_point_input(args, field: PrimeField) -> PointSet:
+    """The points of --points, or the pairwise meets of the --lines."""
+    if args.points:
+        return load_points(args.points, field, args.seed)
+    return star_points_from_lines(load_lines(args.lines, field, args.seed))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_star(spec: str, c_flag: int | None, field: PrimeField, default_seed: int) -> StarConfig:
     if spec.startswith("random:"):
-        kv = _parse_kv_spec(spec)
+        kv = _parse_kv_spec(spec, {"degrees": list, "seed": int, "c": int, "vars": int}, "degrees")
         c = kv.get("c", c_flag)
         nv = kv.get("vars", 3)
         if c is None:
@@ -124,19 +157,50 @@ def load_star(spec: str, c_flag: int | None, field: PrimeField, default_seed: in
         return random_star_config(nv, c, kv["degrees"], kv.get("seed", default_seed), field.p)
     with open(spec) as fh:
         data = json.load(fh)
-    nv = data["vars"]
+    if not isinstance(data, dict):
+        raise ValueError(f"{spec}: star config must be a JSON object")
+    nv = data.get("vars")
+    forms = data.get("forms")
     c = data.get("c", c_flag)
+    if not _is_int(nv) or nv < 2:
+        raise ValueError(f'{spec}: "vars" must be an integer >= 2')
+    if not isinstance(forms, list) or not all(isinstance(t, str) for t in forms):
+        raise ValueError(f'{spec}: "forms" must be a list of polynomial strings')
     if c is None:
         raise ValueError("star config needs a codimension")
-    forms = [parse_form(t, field, num_vars=nv) for t in data["forms"]]
-    return StarConfig.build(nv, c, forms)
+    if not _is_int(c):
+        raise ValueError(f'{spec}: "c" must be an integer')
+    return StarConfig.build(nv, c, [parse_form(t, field, num_vars=nv) for t in forms])
 
 
 def parse_m_range(text: str) -> list[int]:
-    if ".." in text:
-        a, b = text.split("..")
-        return list(range(int(a), int(b) + 1))
-    return [int(text)]
+    """Powers for sdefect: 'M' or 'A..B' with 0 <= A <= B."""
+    lo, dots, hi = text.partition("..")
+    try:
+        a = int(lo)
+        b = int(hi) if dots else a
+    except ValueError:
+        raise ValueError(f"--m must be an integer or a range A..B, got {text!r}") from None
+    if a < 0 or b < a:
+        raise ValueError(f"--m needs 0 <= A <= B, got {text!r}")
+    return list(range(a, b + 1))
+
+
+def parse_power(text: str | None) -> int:
+    """The one power m >= 1 of hilbert and betti (default 1)."""
+    if text is None:
+        return 1
+    try:
+        m = int(text)
+    except ValueError:
+        raise ValueError(f"--m must be an integer, got {text!r}") from None
+    if m < 1:
+        raise ValueError(f"--m must be at least 1, got {m}")
+    return m
+
+
+def _points_json(X: PointSet) -> list[str]:
+    return [f"{a}:{b}:{c}" for a, b, c in X.points]
 
 
 def _betti_json(table) -> list:
@@ -148,19 +212,17 @@ def _betti_json(table) -> list:
 # ---------------------------------------------------------------------------
 
 def cmd_sdefect(args, field) -> tuple[int, dict]:
+    ms = parse_m_range(args.m)
     results = []
     report = {"command": "sdefect", "field": field.p}
     if args.points or args.lines:
-        if args.points:
-            X = load_points(args.points, field, args.seed)
-        else:
-            X = star_points_from_lines(load_lines(args.lines, field, args.seed))
+        X = load_point_input(args, field)
         report["input"] = {
-            "points": [f"{a}:{b}:{c}" for a, b, c in X.points],
+            "points": _points_json(X),
             "seed": X.seed,
             "certificate": X.certificate,
         }
-        for m in parse_m_range(args.m):
+        for m in ms:
             rep = sdefect_points(X, m)
             results.append(
                 {
@@ -177,9 +239,9 @@ def cmd_sdefect(args, field) -> tuple[int, dict]:
             "vars": cfg.num_vars,
             "c": cfg.c,
             "degrees": cfg.degrees,
-            "certified_bound": cfg.certified_bound,
+            "certificate": cfg.certificate,
         }
-        for m in parse_m_range(args.m):
+        for m in ms:
             sym = symbolic_power_star_general(cfg, m)
             pw = power_ideal(star_ideal(cfg), m)
             if args.degree_bound is not None:
@@ -206,16 +268,13 @@ def cmd_sdefect(args, field) -> tuple[int, dict]:
 
 def cmd_hilbert(args, field) -> tuple[int, dict]:
     report = {"command": "hilbert", "field": field.p}
-    m = int(args.m) if args.m else 1
+    m = parse_power(args.m)
     if args.points or args.lines:
-        if args.points:
-            X = load_points(args.points, field, args.seed)
-        else:
-            X = star_points_from_lines(load_lines(args.lines, field, args.seed))
+        X = load_point_input(args, field)
         reg = regularity_points(X)
         top = args.max_degree if args.max_degree is not None else m * reg + 1
         J = symbolic_power_points(X, m, max(top, m * reg)) if m > 1 else ideal_of_points(X, max(top, reg))
-        report["input"] = {"points": [f"{a}:{b}:{c}" for a, b, c in X.points], "seed": X.seed}
+        report["input"] = {"points": _points_json(X), "seed": X.seed}
     else:
         cfg = load_star(args.star, args.c, field, args.seed)
         J = symbolic_power_star_general(cfg, m)
@@ -229,16 +288,13 @@ def cmd_hilbert(args, field) -> tuple[int, dict]:
 
 def cmd_betti(args, field) -> tuple[int, dict]:
     report = {"command": "betti", "field": field.p}
-    m = int(args.m) if args.m else 1
+    m = parse_power(args.m)
     if args.points or args.lines:
-        if args.points:
-            X = load_points(args.points, field, args.seed)
-        else:
-            X = star_points_from_lines(load_lines(args.lines, field, args.seed))
+        X = load_point_input(args, field)
         reg = regularity_points(X)
         J = symbolic_power_points(X, m) if m > 1 else ideal_of_points(X)
         D = args.degree_bound if args.degree_bound is not None else m * reg + 2
-        report["input"] = {"points": [f"{a}:{b}:{c}" for a, b, c in X.points], "seed": X.seed}
+        report["input"] = {"points": _points_json(X), "seed": X.seed}
     else:
         cfg = load_star(args.star, args.c, field, args.seed)
         J = symbolic_power_star_general(cfg, m)
@@ -427,6 +483,8 @@ def verify_paper_tables() -> dict:
 
 
 def cmd_verify(args, field) -> tuple[int, dict]:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     seeds = [args.seed + i for i in range(args.seeds)]
     if args.suite == "monomial-grid":
         out = verify_monomial_grid(args.n_max, args.m_max, field)
@@ -450,8 +508,16 @@ def cmd_verify(args, field) -> tuple[int, dict]:
 # argument surface
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1 with an error: line, like any other
+    malformed input, instead of argparse's own exit code 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="stardefect",
         description="Exact symbolic powers, symbolic defects, Hilbert functions "
         "and graded Betti numbers for star configurations and plane point sets.",
@@ -536,9 +602,8 @@ def _human_lines(report: dict) -> str:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         field = PrimeField(args.field)
         if args.command == "sdefect":
             code, report = cmd_sdefect(args, field)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Field, PrimeField, Subspace, kernel_basis, matmul_mod, rank, rref
+from .linalg import Field, PrimeField, Subspace, _rref_pivots, kernel_basis, matmul_mod, rank, rref
 from .poly import (
     HomogPoly,
     basis_exponents,
@@ -479,7 +479,7 @@ def _module_min_gens_of_kernel(
             continue
         M, _ = source.map_matrix(images, target, j, field)
         K = kernel_basis(M, field)
-        piece = Subspace(field, K.shape[1], K, _pivots_of_rref(K))
+        piece = Subspace(field, K.shape[1], K, _rref_pivots(K))
         if piece.dim == 0:
             prev_kernel = piece
             continue
@@ -494,14 +494,6 @@ def _module_min_gens_of_kernel(
                 reps.append((j, source.vector_to_element(piece.basis[q], j, field)))
         prev_kernel = piece
     return reps, counts
-
-
-def _pivots_of_rref(R: np.ndarray) -> tuple[int, ...]:
-    out = []
-    for i in range(R.shape[0]):
-        nz = np.nonzero(R[i])[0]
-        out.append(int(nz[0]))
-    return tuple(out)
 
 
 def betti_from_weyman(resolution: BettiTable) -> BettiTable:

@@ -341,53 +341,10 @@ def rank(M: np.ndarray, field: Field) -> int:
     return _echelon_reference(M, field, reduced=False)[0]
 
 
-def row_basis(M: np.ndarray, field: Field) -> np.ndarray:
-    """Canonical (RREF) basis of the row space of M."""
-    r, A, _ = rref(M, field)
-    return A[:r]
-
-
-def independent_rows(M: np.ndarray, field: Field) -> list[int]:
-    """Indices of a row subset forming a basis of the row space (greedy, in order)."""
-    if M.size == 0:
-        return []
-    if isinstance(field, PrimeField):
-        r, _, _, perm = _echelon_gfp(M, field.p)
-        return sorted(int(i) for i in perm[:r])
-    # reference path: incremental reduction
-    keep: list[int] = []
-    rows: list[np.ndarray] = []
-    pivs: list[int] = []
-    for i in range(M.shape[0]):
-        v = M[i].copy()
-        for row, c in zip(rows, pivs):
-            if v[c] != 0:
-                v = v - v[c] * row
-        nz = [j for j in range(len(v)) if v[j] != 0]
-        if nz:
-            c = nz[0]
-            v = v * field.inv(v[c])
-            rows.append(v)
-            pivs.append(c)
-            keep.append(i)
-    return keep
-
-
 def matmul_mod(A: np.ndarray, B: np.ndarray, field: Field) -> np.ndarray:
     """Exact matrix product."""
     if isinstance(field, PrimeField):
-        p = field.p
-        k = A.shape[1]
-        if k == 0:
-            return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-        # split the inner dimension so float64 accumulation stays exact
-        step = max(1, int(2**52 // ((p - 1) ** 2)))
-        Af = A.astype(np.float64)
-        Bf = B.astype(np.float64)
-        acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.float64)
-        for s in range(0, k, step):
-            acc += Af[:, s : s + step] @ Bf[s : s + step]
-            _mod_p(acc, p)
+        acc = _dot_mod(A.astype(np.float64), B.astype(np.float64), field.p)
         return np.rint(acc).astype(np.int64)
     return A @ B
 
@@ -532,8 +489,5 @@ class Subspace:
 
 
 def _rref_pivots(R: np.ndarray) -> tuple[int, ...]:
-    pivots = []
-    for i in range(R.shape[0]):
-        nz = np.nonzero(R[i])[0]
-        pivots.append(int(nz[0]))
-    return tuple(pivots)
+    """Pivot columns of a matrix in row echelon form without zero rows."""
+    return tuple(int(np.nonzero(row)[0][0]) for row in R)

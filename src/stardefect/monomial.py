@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb
 
 import numpy as np
 
@@ -201,7 +200,8 @@ def support_filtered_ideal(n: int, c: int, m: int) -> MonomialIdeal:
     ideal = MonomialIdeal.make(s, gens)
     # capping exponents at m is harmless here too: support only shrinks by
     # capping to 0, which cannot happen for entries > m >= 1
-    assert all(sym.member(g) for g in ideal.gens)
+    if not all(sym.member(g) for g in ideal.gens):
+        raise RuntimeError(f"support-filtered ideal not inside I^({m}) for n={n}, c={c}")
     return ideal
 
 
@@ -261,11 +261,6 @@ def verify_support_decomposition(n: int, c: int, m: int) -> bool:
     lhs = symbolic_power_star(n, c, m)
     rhs = star_monomial(n, c).power(m).sum(support_filtered_ideal(n, c, m))
     return lhs == rhs
-
-
-def expected_square_sdefect(s: int, c: int) -> int:
-    """binom(s, c-2): the generator count of the added star ideal."""
-    return comb(s, c - 2)
 
 
 def format_monomial(m: Monomial, letter: str = "x") -> str:

@@ -23,7 +23,7 @@ from math import comb
 import numpy as np
 
 from .gradedideal import GradedIdeal, SdefectReport, _complete_in_subspace, sdefect as lab_sdefect
-from .linalg import Field, PrimeField, Subspace, kernel_basis, rank
+from .linalg import Field, PrimeField, Subspace, _rref_pivots, kernel_basis, rank
 from .poly import (
     HomogPoly,
     basis_exponents,
@@ -200,14 +200,6 @@ def ideal_of_points(X: PointSet, degree_bound: int | None = None) -> GradedIdeal
     J = GradedIdeal(3, gens, field)
     J.warm_cache(pieces)
     return J
-
-
-def _rref_pivots(R: np.ndarray) -> tuple[int, ...]:
-    out = []
-    for i in range(R.shape[0]):
-        nz = np.nonzero(R[i])[0]
-        out.append(int(nz[0]))
-    return tuple(out)
 
 
 def _adapted_frame(point, field: PrimeField) -> np.ndarray:

@@ -24,10 +24,6 @@ from .linalg import Field, PrimeField
 Monomial = tuple[int, ...]
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -38,10 +34,6 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_support(m: Monomial) -> tuple[int, ...]:
-    return tuple(i for i, e in enumerate(m) if e > 0)
 
 
 @lru_cache(maxsize=None)
@@ -115,12 +107,6 @@ def var_shift(num_vars: int, d: int, j: int) -> np.ndarray:
     """Index map: basis(d) position i -> basis(d+1) position of x_j * basis(d)[i]."""
     exps = basis_exponents(num_vars, d).copy()
     exps[:, j] += 1
-    return rank_exponents(exps)
-
-
-def mono_shift(num_vars: int, d: int, m: Monomial) -> np.ndarray:
-    """Index map for multiplication by the monomial m: basis(d) -> basis(d + deg m)."""
-    exps = basis_exponents(num_vars, d) + np.array(m, dtype=np.int64)
     return rank_exponents(exps)
 
 
@@ -291,21 +277,6 @@ def substitute(m: Monomial, forms: list[HomogPoly]) -> HomogPoly:
     for g, e in zip(forms, m):
         if e:
             out = multiply(out, power(g, e))
-    return out
-
-
-def substitute_poly(f: HomogPoly, forms: list[HomogPoly]) -> HomogPoly:
-    """Linear extension of ``substitute`` to polynomials of the source ring.
-
-    All terms of f must map to one common degree (automatic when the forms
-    share a degree); otherwise the image is not homogeneous and is rejected.
-    """
-    parts = [substitute(m, forms).scale(c) for m, c in f.terms.items()]
-    if not parts:
-        raise ValueError("cannot substitute into the zero polynomial")
-    out = parts[0]
-    for q in parts[1:]:
-        out = out + q
     return out
 
 

@@ -8,66 +8,51 @@ criterion in s variables, and pushing them through the substitution yields
 generating sets for I^(m) directly, with all comparisons done degree by
 degree in the target ring.
 
-Regular-sequence hypotheses are replaced by a checkable surrogate: every
-(c+1)-subset of the forms must have the Koszul complete-intersection Hilbert
-function up to the working degree bound.  Random samples over a large prime
-field pass this overwhelmingly; failures abort with a certification error.
+The transfer needs every (c+1)-subset of the forms to be a regular sequence,
+and :meth:`StarConfig.certify` proves it with one rank check per subset.
+The subset is completed by nv-c-1 seeded linear forms to nv forms in nv
+variables.  Let D be the sum of the subset degrees minus c.  If the nv forms
+span all of R_D, the quotient by them is Artinian; they are then a system of
+parameters of the Cohen-Macaulay ring R, hence a regular sequence, and so is
+the subset.  Conversely, for a regular subset and general linear forms the
+quotient is a complete intersection whose top degree is D-1, so the check
+passes.  A failed check only means "draw other linear forms"; after
+RETRY_CAP draws the configuration is rejected.  The certificate records, per
+subset, its indices, the seed of the linear forms (None when the subset
+already has nv forms), and D.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field as dataclass_field
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import numpy as np
 
 from .gradedideal import BettiTable, GradedIdeal, graded_betti, ideals_equal
-from .linalg import Field, PrimeField, Subspace, kernel_basis
+from .linalg import Field, PrimeField, Subspace, _rref_pivots, kernel_basis, matmul_mod, rank
 from .monomial import uniform_star, uniform_symbolic_power
-from .poly import HomogPoly, basis_size, poly_from_vector, substitute
+from .points import RETRY_CAP, splitmix64
+from .poly import HomogPoly, basis_size, multiply, poly_from_vector, substitute
 
 
 class CertificationError(ValueError):
-    """A (c+1)-subset of forms failed the complete-intersection HF check."""
-
-
-def koszul_ci_hf(degrees: list[int], num_vars: int, d: int) -> int:
-    """dim of the degree-d piece of an ideal generated by a regular sequence.
-
-    From the Koszul resolution: dim I_d = dim R_d - [t^d] prod(1 - t^{e_i}) /
-    (1 - t)^{num_vars}.
-    """
-    # numerator coefficients of prod (1 - t^{e_i})
-    num = [1]
-    for e in degrees:
-        new = num + [0] * e
-        for i, c in enumerate(num):
-            new[i + e] -= c
-        num = new
-    # divide by (1-t)^nv: repeated prefix sums give the quotient series
-    series = num + [0] * max(0, d + 1 - len(num))
-    series = series[: d + 1]
-    for _ in range(num_vars):
-        acc = 0
-        for i in range(d + 1):
-            acc += series[i]
-            series[i] = acc
-    return basis_size(num_vars, d) - series[d]
+    """A (c+1)-subset of forms could not be certified as a regular sequence."""
 
 
 @dataclass
 class StarConfig:
-    """Forms, codimension, and the regular-sequence surrogate certificate."""
+    """Forms (sorted by degree), codimension, and the regular-sequence certificate."""
 
     num_vars: int
     c: int
     forms: list[HomogPoly]
     field: Field
-    certified_bound: int = -1
+    certificate: list[dict] = dataclass_field(default_factory=list)
 
     @staticmethod
-    def build(num_vars: int, c: int, forms: list[HomogPoly], certify_bound: int | None = None) -> "StarConfig":
+    def build(num_vars: int, c: int, forms: list[HomogPoly]) -> "StarConfig":
         n = num_vars - 1
         s = len(forms)
         if not 1 <= c <= min(n, s):
@@ -78,15 +63,11 @@ class StarConfig:
                 raise ValueError("forms must share one ring and field")
             if g.is_zero:
                 raise ValueError("zero form in a star configuration")
+            if g.degree < 1:
+                raise ValueError("star configuration forms need positive degree")
         forms = sorted(forms, key=lambda g: g.degree)
         cfg = StarConfig(num_vars, c, forms, field)
-        if certify_bound is None:
-            # past the Koszul socle of the worst subset: codimension failures
-            # of a product structure surface by then for the degrees in play
-            certify_bound = max(
-                sum(sorted(cfg.degrees, reverse=True)[: c + 1]) + 1, max(cfg.degrees) + 1
-            )
-        cfg.certify(certify_bound)
+        cfg.certify()
         return cfg
 
     @property
@@ -101,47 +82,46 @@ class StarConfig:
     def total_degree(self) -> int:
         return sum(self.degrees)
 
-    def certify(self, bound: int):
-        """Check every (c+1)-subset against the Koszul CI Hilbert function.
+    def certify(self):
+        """Prove every (c+1)-subset of the forms a regular sequence.
 
-        Incremental: per-subset echelon bases are carried from degree to
-        degree, so raising the bound only pays for the new degrees.
+        Fills ``certificate`` with one {"subset", "seed", "degree"} entry per
+        subset; raises CertificationError when a subset fails for every one
+        of RETRY_CAP seeded draws of the completing linear forms.
         """
-        if bound <= self.certified_bound:
-            return
-        if not hasattr(self, "_cert_state"):
-            self._cert_state: dict[tuple[int, ...], tuple[int, np.ndarray]] = {}
-        from .gradedideal import GradedIdeal as _GI
-        from .linalg import echelon
-
+        nv = self.num_vars
+        extra = nv - self.c - 1
+        certificate = []
         for subset in combinations(range(self.s), self.c + 1):
-            degs = [self.forms[i].degree for i in subset]
-            carrier = _GI(self.num_vars, [self.forms[i] for i in subset], self.field)
-            if subset in self._cert_state:
-                d_done, basis = self._cert_state[subset]
+            chosen = [self.forms[i] for i in subset]
+            D = sum(g.degree for g in chosen) - self.c
+            # with no linear forms to add the check does not depend on a draw
+            seeds = range(RETRY_CAP) if extra else [None]
+            for seed in seeds:
+                lins = []
+                if extra:
+                    stream = splitmix64(seed)
+                    for _ in range(extra):
+                        vec = np.array([self.field.of(next(stream)) for _ in range(nv)], dtype=object)
+                        lins.append(poly_from_vector(vec, nv, 1, self.field))
+                rows = GradedIdeal(nv, chosen + lins, self.field)._gen_rows(D)
+                if rank(rows, self.field) == basis_size(nv, D):
+                    break
             else:
-                d_done, basis = -1, self.field.zeros((0, 1))
-            for d in range(d_done + 1, bound + 1):
-                rows = [carrier._gen_rows(d, only_degree=d)]
-                if basis.shape[0]:
-                    rows.append(carrier._shift_rows(basis, d - 1))
-                stacked = np.concatenate(rows, axis=0)
-                r, E, _ = echelon(stacked, self.field, reduced=False)
-                basis = E[:r]
-                if r != koszul_ci_hf(degs, self.num_vars, d):
-                    raise CertificationError(
-                        f"forms {subset} fail the CI Hilbert check at degree {d}"
-                    )
-            self._cert_state[subset] = (bound, basis)
-        self.certified_bound = bound
+                raise CertificationError(
+                    f"forms {subset} are not certified as a regular sequence: "
+                    f"no Artinian completion at degree {D}"
+                )
+            certificate.append({"subset": list(subset), "seed": seed, "degree": D})
+        self.certificate = certificate
 
 
 def random_star_config(
     num_vars: int, c: int, degrees: list[int], seed: int, prime: int = 32003
 ) -> StarConfig:
     """Seeded random forms of the given degrees, certified as a star config."""
-    from .points import RETRY_CAP, splitmix64
-
+    if num_vars < 2 or any(e < 1 for e in degrees):
+        raise ValueError("need at least two variables and positive form degrees")
     field = PrimeField(prime)
     for attempt in range(RETRY_CAP):
         stream = splitmix64(seed + attempt)
@@ -217,20 +197,12 @@ def verify_cube_decomposition_general(cfg: StarConfig) -> bool:
 
 
 def _product_gens(a: GradedIdeal, b: GradedIdeal) -> list[HomogPoly]:
-    from .poly import multiply
-
     if a is b:
-        from itertools import combinations_with_replacement
-
         return [multiply(f, g) for f, g in combinations_with_replacement(a.gens, 2)]
     return [multiply(f, g) for f in a.gens for g in b.gens]
 
 
 def _triple_product_gens(a: GradedIdeal) -> list[HomogPoly]:
-    from itertools import combinations_with_replacement
-
-    from .poly import multiply
-
     return [
         multiply(multiply(f, g), h)
         for f, g, h in combinations_with_replacement(a.gens, 3)
@@ -251,18 +223,9 @@ def colon_by_form_piece(J: GradedIdeal, F: HomogPoly, t: int) -> Subspace:
     cond = target.conditions()
     if cond.shape[0] == 0:
         return Subspace.full(basis_size(nv, t), field)
-    from .linalg import matmul_mod
-
     system = matmul_mod(cond, M.T.copy(), field)
     K = kernel_basis(system, field)
-    return Subspace(field, basis_size(nv, t), K, _pivots(K))
-
-
-def _pivots(R: np.ndarray) -> tuple[int, ...]:
-    out = []
-    for i in range(R.shape[0]):
-        out.append(int(np.nonzero(R[i])[0][0]))
-    return tuple(out)
+    return Subspace(field, basis_size(nv, t), K, _rref_pivots(K))
 
 
 def colon_lemma_check(cfg: StarConfig) -> bool:
@@ -285,7 +248,6 @@ def colon_lemma_check(cfg: StarConfig) -> bool:
     i3 = star_ideal(cfg, 3)
     F = substitute((1,) * cfg.s, cfg.forms)
     d = F.degree
-    from .poly import multiply
 
     # (i) containment I_{3,F} <= [I^2 : F], generator by generator, exactly
     for g in i3.gens:
@@ -293,7 +255,6 @@ def colon_lemma_check(cfg: StarConfig) -> bool:
             return False
     # (i) reverse: colon pieces inside I_{3,F}, through max generator degree + 1
     bound = max(g.degree for g in i3.gens) + 1
-    cfg.certify(bound + d)
     for t in range(bound + 1):
         colon_t = colon_by_form_piece(i2, F, t)
         if colon_t != i3.graded_piece(t):
@@ -303,12 +264,8 @@ def colon_lemma_check(cfg: StarConfig) -> bool:
     for t in range(d, d + bound + 1):
         inter = i2.graded_piece(t).intersect(f_ideal.graded_piece(t))
         colon_piece = colon_by_form_piece(i2, F, t - d)
-        rows = []
-        carrier = GradedIdeal(cfg.num_vars, [F], field)
-        M = carrier._gen_rows(t)  # basis(t-d) * F rows
+        M = f_ideal._gen_rows(t)  # basis(t-d) * F rows
         if colon_piece.dim:
-            from .linalg import matmul_mod
-
             rows = matmul_mod(colon_piece.basis, M, field)
             prod = Subspace.from_rows(rows, field, basis_size(cfg.num_vars, t))
         else:
@@ -364,7 +321,6 @@ def verify_resolution_theorems(cfg: StarConfig) -> dict:
     degrees = cfg.degrees
     d = cfg.total_degree
     bound_sq = 2 * d
-    cfg.certify(bound_sq)
     ic = star_ideal(cfg)
     i2 = GradedIdeal(cfg.num_vars, _product_gens(ic, ic), cfg.field)
     sq_table = graded_betti(i2, 2, bound_sq)

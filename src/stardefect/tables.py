@@ -98,11 +98,3 @@ def verify_table2() -> dict:
         ok = ok and match
         rows.append(row)
     return {"ok": ok, "rows": rows, "transposed_cells": anomalies}
-
-
-def verify_tables(which: str) -> dict:
-    if which == "table1":
-        return verify_table1()
-    if which == "table2":
-        return verify_table2()
-    raise ValueError(f"unknown table {which!r}")

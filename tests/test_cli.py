@@ -1,4 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from stardefect.cli import main
 
@@ -68,6 +75,147 @@ def test_bad_input_exit_code(capsys, tmp_path):
     assert code == 1
     code = main(["sdefect", "--points", "random:s=3,seed=1", "--field", "15"])
     assert code == 1
+    code = main(["sdefect", "--points", "random:s=3,seed=1", "--field", "p"])
+    assert code == 1
+    f.write_text("# no points\n")
+    code = main(["sdefect", "--points", str(f)])
+    assert code == 1
+    assert capsys.readouterr().err.endswith(f"error: {f}: no points\n")
+
+
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--points", "--lines"])
+def test_random_spec_without_size(capsys, flag):
+    code, err = run_err(capsys, "sdefect", flag, "random:seed=1")
+    assert code == 1
+    assert err.startswith("error:") and "s=" in err
+
+
+def test_star_file_without_vars(tmp_path, capsys):
+    cfgf = tmp_path / "star.json"
+    cfgf.write_text(json.dumps({"c": 2, "forms": ["x0", "x1", "x2"]}))
+    code, err = run_err(capsys, "sdefect", "--star", str(cfgf))
+    assert code == 1
+    assert err.startswith("error:") and '"vars"' in err
+
+
+def test_points_file_zero_denominator(tmp_path, capsys):
+    f = tmp_path / "pts.pts"
+    f.write_text("1:0:0\n1/0:1:1\n")
+    code, err = run_err(capsys, "sdefect", "--points", str(f))
+    assert code == 1
+    assert err.startswith(f"error: {f}:2:")
+
+
+@pytest.mark.parametrize("command", ["hilbert", "betti"])
+def test_power_below_one_rejected(capsys, command):
+    code, err = run_err(capsys, command, "--points", "random:s=3,seed=1", "--m", "0")
+    assert code == 1
+    assert err.startswith("error:") and "--m" in err
+
+
+def test_star_report_carries_certificate(capsys):
+    code, out = run(capsys, "sdefect", "--star", "random:degrees=[1,1,2,2],seed=7,c=2,vars=4", "--m", "2", "--json")
+    assert code == 0
+    cert = json.loads(out)["input"]["certificate"]
+    assert [e["subset"] for e in cert] == [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+    assert [e["degree"] for e in cert] == [2, 2, 3, 3]
+    assert all(isinstance(e["seed"], int) for e in cert)
+
+
+_int_text = st.integers(-3, 9).map(str)
+_junk = st.text(alphabet="abs=,[]:/.-x ", max_size=6)  # no digits: never a valid value
+
+
+def _spec(items):
+    return "random:" + ",".join(items)
+
+
+# spec bodies that can never describe a point set: no s=, an unknown key, or
+# a value of the wrong shape
+_bad_points_spec = st.one_of(
+    st.lists(_int_text.map(lambda v: "seed=" + v), max_size=2).map(_spec),
+    st.tuples(st.sampled_from(["t", "S", "degrees", "c"]), _int_text).map(lambda kv: _spec(["s=3", "=".join(kv)])),
+    st.sampled_from(["s=", "s=[3]", "s=3,s=4", "s", "s=3]", "s==3", "seed=[1],s=3"]).map(lambda b: "random:" + b),
+    _junk.map(lambda t: "random:" + t + "x"),
+)
+_bad_star_spec = st.one_of(
+    st.sampled_from(["c=2", "degrees=1,c=2", "degrees=[1,a],c=2", "degrees=[1,1,1],c=[2]", "degrees=[1,1,1],k=2"]),
+    _junk.map(lambda t: "degrees" + t + "x"),
+).map(lambda b: "random:" + b)
+_bad_row = st.one_of(
+    st.sampled_from(["1/0:1:1", "1:2", "1:2:3:4", "a:b:c", "0:0:0", "1:1/32003:1", "::", "1:2:3/0"]),
+    st.tuples(_junk, _junk).map(lambda t: f"{t[0]}x:{t[1]}:1"),
+)
+_bad_star_json = st.sampled_from(
+    [
+        "[]",
+        "{",
+        '{"c": 2, "forms": ["x0", "x1", "x2"]}',
+        '{"vars": "3", "c": 2, "forms": ["x0", "x1", "x2"]}',
+        '{"vars": 3, "c": 2, "forms": "x0"}',
+        '{"vars": 3, "c": 2, "forms": [1, 2, 3]}',
+        '{"vars": 3, "c": true, "forms": ["x0", "x1", "x2"]}',
+        '{"vars": 3, "c": 2, "forms": ["x0", "x0+x1", "x1"]}',
+        '{"vars": 3, "c": 2, "forms": ["1", "x1", "x2"]}',
+        '{"vars": 3, "c": 2, "forms": ["x0", "x1", "x7"]}',
+    ]
+)
+_bad_range = st.one_of(
+    st.sampled_from(["", "..", "1..", "..2", "3..1", "-1", "1..2..3", "a", "0x2", "[2]", "-:", "--x"]),
+    _junk,
+)
+
+
+def _run_quiet(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.just("points"), _bad_points_spec),
+        st.tuples(st.just("lines"), _bad_points_spec),
+        st.tuples(st.just("star"), _bad_star_spec),
+        st.tuples(st.just("points-file"), st.lists(_bad_row, min_size=1, max_size=3)),
+        st.tuples(st.just("star-file"), _bad_star_json),
+        st.tuples(st.just("sdefect-m"), _bad_range),
+        st.tuples(st.sampled_from(["hilbert-m", "betti-m"]), st.one_of(_bad_range, st.integers(-5, 0).map(str))),
+        st.tuples(st.just("seeds"), st.integers(-3, 0).map(str)),
+    )
+)
+def test_malformed_input_exits_one_without_traceback(case):
+    kind, payload = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        if kind == "points":
+            argv = ["sdefect", "--points", payload]
+        elif kind == "lines":
+            argv = ["sdefect", "--lines", payload]
+        elif kind == "star":
+            argv = ["sdefect", "--star", payload]
+        elif kind == "points-file":
+            with open(path, "w") as fh:
+                fh.write("1:0:0\n" + "\n".join(payload) + "\n")
+            argv = ["sdefect", "--points", path]
+        elif kind == "star-file":
+            with open(path, "w") as fh:
+                fh.write(payload)
+            argv = ["sdefect", "--star", path]
+        elif kind == "seeds":
+            argv = ["verify", "general-points", "--s-max", "1", "--seeds", payload]
+        else:
+            argv = [kind.split("-")[0], "--points", "random:s=3,seed=1", "--m", payload]
+        code, err = _run_quiet(argv)
+    assert code == 1, (argv, err)
+    assert err.startswith("error:") and "Traceback" not in err, (argv, err)
 
 
 def test_verify_paper_tables(capsys):

@@ -8,7 +8,6 @@ from stardefect.linalg import (
     QQ,
     Subspace,
     _echelon_reference,
-    independent_rows,
     kernel_basis,
     matmul_mod,
     rank,
@@ -187,17 +186,6 @@ def test_intersection_dimension_formula(seed, n):
     total = A.sum(B)
     assert inter.dim + total.dim == A.dim + B.dim
     assert inter.is_subspace_of(A) and inter.is_subspace_of(B)
-
-
-def test_independent_rows_spans():
-    rng = np.random.default_rng(3)
-    f = GF32003
-    M = random_matrix(rng, 10, 4, 32003)
-    M[5] = M[0]
-    M[7] = (M[1] + M[2]) % 32003
-    keep = independent_rows(M, f)
-    assert len(keep) == rank(M, f)
-    assert Subspace.from_rows(M[keep], f) == Subspace.from_rows(M, f)
 
 
 def test_field_cross_check_dimensions():

@@ -9,7 +9,6 @@ from stardefect.stargeneral import (
     CertificationError,
     StarConfig,
     colon_lemma_check,
-    koszul_ci_hf,
     predicted_square_betti,
     predicted_symbolic_square_betti,
     random_star_config,
@@ -32,19 +31,38 @@ def monomial_to_graded(I, field=GF32003):
     return GradedIdeal(I.num_vars, gens, field)
 
 
-def test_koszul_hf_point():
-    # two independent linear forms in P^2 cut out a point
-    for d in range(6):
-        assert koszul_ci_hf([1, 1], 3, d) == (d + 1) * (d + 2) // 2 - 1
-
-
 def test_certification_rejects_degenerate():
-    f = GF32003
-    l1 = parse_form("x0", f, num_vars=3)
-    l2 = parse_form("x1", f, num_vars=3)
-    l3 = parse_form("x0 + x1", f, num_vars=3)  # concurrent with the others
-    with pytest.raises(CertificationError):
-        StarConfig.build(3, 2, [l1, l2, l3])
+    cases = [
+        # concurrent lines: x0 + x1 lies in (x0, x1)
+        (3, 2, ["x0", "x1", "x0 + x1"]),
+        # quadrics sharing the factor x0 are never part of a regular sequence,
+        # so no draw of completing linear forms makes the quotient Artinian
+        (3, 1, ["x0*x1", "x0*x2", "x1^2 + x2^2"]),
+        (4, 2, ["x0*x1", "x0*x2", "x3^2", "x1^2 + x2^2"]),
+    ]
+    for num_vars, c, texts in cases:
+        forms = [parse_form(t, GF32003, num_vars=num_vars) for t in texts]
+        with pytest.raises(CertificationError, match=r"\(0, 1"):
+            StarConfig.build(num_vars, c, forms)
+
+
+def test_certificate_of_coordinate_configuration():
+    cfg = coordinate_config(3, 2)
+    # every 3-subset of x0..x3 plus one seeded linear form spans R_1
+    assert cfg.certificate == [
+        {"subset": list(sub), "seed": 0, "degree": 1}
+        for sub in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    ]
+    # c = n: the subset already has nv forms, so no draw is involved
+    cfg = coordinate_config(2, 2)
+    assert cfg.certificate == [{"subset": [0, 1, 2], "seed": None, "degree": 1}]
+
+
+def test_certificate_degree_is_subset_degree_minus_c():
+    cfg = random_star_config(4, 2, [1, 2, 2, 3], seed=1)
+    assert len(cfg.certificate) == 4
+    for entry in cfg.certificate:
+        assert entry["degree"] == sum(cfg.degrees[i] for i in entry["subset"]) - 2
 
 
 def test_coordinate_specialization_reproduces_monomial_star():
