@@ -173,6 +173,17 @@ def load_star(spec: str, c_flag: int | None, field: PrimeField, default_seed: in
     return StarConfig.build(nv, c, [parse_form(t, field, num_vars=nv) for t in forms])
 
 
+def degree_flag(text: str) -> int:
+    """A degree flag (--degree-bound, --max-degree): an integer >= 0."""
+    try:
+        d = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if d < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {d}")
+    return d
+
+
 def parse_m_range(text: str) -> list[int]:
     """Powers for sdefect: 'M' or 'A..B' with 0 <= A <= B."""
     lo, dots, hi = text.partition("..")
@@ -246,11 +257,10 @@ def cmd_sdefect(args, field) -> tuple[int, dict]:
             pw = power_ideal(star_ideal(cfg), m)
             if args.degree_bound is not None:
                 D = args.degree_bound
-                certified = True
             else:
-                gen_degrees = [g.degree for g in sym.gens + pw.gens]
-                D = max(gen_degrees, default=0)
-                certified = False  # no a-priori saturation bound for general forms
+                D = max((g.degree for g in sym.gens + pw.gens), default=0)
+            # images of the generators of I^(m) generate I^(m)/I^m
+            certified = D >= sym.top_gen_degree()
             rep = lab_sdefect(sym, pw, D, m=m)
             results.append(
                 {
@@ -528,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field", type=int, default=32003, help="odd prime > 3 (default 32003)")
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--json", action="store_true", help="canonical JSON on stdout")
-        p.add_argument("--degree-bound", type=int, default=None)
+        p.add_argument("--degree-bound", type=degree_flag, default=None)
         if with_input:
             g = p.add_mutually_exclusive_group(required=True)
             g.add_argument("--points", help="file of a:b:c rows, or random:s=8,seed=1")
@@ -543,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hilbert", help="Hilbert function of R/I^(m)")
     common(p)
     p.add_argument("--m", default=None)
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=degree_flag, default=None)
 
     p = sub.add_parser("betti", help="graded Betti table of I^(m)")
     common(p)

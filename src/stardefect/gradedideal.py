@@ -134,16 +134,6 @@ class GradedIdeal:
             return self.field.zeros((0, N))
         return np.concatenate(blocks, axis=0)
 
-    def _shift_rows(self, basis: np.ndarray, d_from: int) -> np.ndarray:
-        """Images of basis rows under multiplication by each variable."""
-        nv = self.num_vars
-        N = basis_size(nv, d_from + 1)
-        k = basis.shape[0]
-        out = self.field.zeros((nv * k, N))
-        for j in range(nv):
-            out[j * k : (j + 1) * k, var_shift(nv, d_from, j)] = basis
-        return out
-
     def graded_piece(self, d: int) -> Subspace:
         """Canonical subspace of R_d spanned by the ideal, of dimension dim J_d."""
         if d < 0:
@@ -152,7 +142,8 @@ class GradedIdeal:
             return self._pieces[d]
         if (d - 1) in self._pieces:
             prev = self._pieces[d - 1]
-            rows = [self._shift_rows(prev.basis, d - 1)] if prev.dim else []
+            ring = FreeModuleLayout(self.num_vars, (0,))
+            rows = [ring.shift_rows(prev.basis, d - 1, self.field)] if prev.dim else []
             rows.append(self._gen_rows(d, only_degree=d))
             stacked = np.concatenate(rows, axis=0) if rows else self._gen_rows(d)
         else:
@@ -162,7 +153,12 @@ class GradedIdeal:
         return piece
 
     def warm_cache(self, pieces: dict[int, Subspace]):
-        """Install externally computed pieces (callers certify correctness)."""
+        """Install externally computed pieces (callers certify correctness).
+
+        Every installed piece must be the degree-d piece of the ideal that
+        ``gens`` generates.  Pieces computed later, and the generator-degree
+        ceiling of :meth:`min_gens` and :func:`sdefect`, rely on it.
+        """
         self._pieces.update(pieces)
 
     def hilbert_function(self, d: int) -> int:
@@ -182,7 +178,22 @@ class GradedIdeal:
         return self.graded_piece(f.degree).contains(coefficient_vector(f))
 
     def contains_ideal(self, other: "GradedIdeal") -> bool:
-        return all(self.member(g) for g in other.gens)
+        """Whether every generator of other lies in this ideal, one check per degree."""
+        by_degree: dict[int, list[np.ndarray]] = {}
+        for g in other.gens:
+            by_degree.setdefault(g.degree, []).append(coefficient_vector(g))
+        return all(
+            self.graded_piece(d).contains_rows(np.stack(vecs))
+            for d, vecs in sorted(by_degree.items())
+        )
+
+    def top_gen_degree(self) -> int:
+        """The largest generator degree, or -1 for the zero ideal.
+
+        No minimal generator of the ideal, or of a quotient module of it,
+        lies above this degree: there J_d = R_1 J_{d-1}.
+        """
+        return max((g.degree for g in self.gens), default=-1)
 
     # -- minimal generators ---------------------------------------------------
 
@@ -191,10 +202,12 @@ class GradedIdeal:
 
         mu_d = dim J_d - dim(R_1 J_{d-1}); the representatives are the
         earliest rows (in lex order of their leading monomials) of the
-        canonical piece basis that complete R_1 J_{d-1} inside J_d.
+        canonical piece basis that complete R_1 J_{d-1} inside J_d.  Degrees
+        above :meth:`top_gen_degree` are skipped: their count is 0.
         """
         out: dict[int, list[HomogPoly]] = {}
-        for d in range(degree_bound + 1):
+        ring = FreeModuleLayout(self.num_vars, (0,))
+        for d in range(min(degree_bound, self.top_gen_degree()) + 1):
             piece = self.graded_piece(d)
             if piece.dim == 0:
                 continue
@@ -202,7 +215,7 @@ class GradedIdeal:
                 wrows = self.field.zeros((0, basis_size(self.num_vars, 0)))
             else:
                 prev = self.graded_piece(d - 1)
-                wrows = self._shift_rows(prev.basis, d - 1)
+                wrows = ring.shift_rows(prev.basis, d - 1, self.field)
             kept = _complete_in_subspace(piece, wrows, self.field)
             if kept:
                 out[d] = [
@@ -285,16 +298,19 @@ def ideals_equal(J: GradedIdeal, K: GradedIdeal) -> bool:
 def sdefect(isym: GradedIdeal, ipow: GradedIdeal, degree_bound: int, m: int = 0) -> SdefectReport:
     """Minimal generator counts of isym/ipow, degree by degree up to the bound.
 
-    mu_d = dim (isym)_d - dim((ipow)_d + R_1 (isym)_{d-1}); the caller owns
-    the correctness of the degree bound (for points, m*reg(I)+1 certifies
-    that no generators occur beyond it).
+    mu_d = dim (isym)_d - dim((ipow)_d + R_1 (isym)_{d-1}).  The module is
+    generated by the images of the generators of isym, so mu_d = 0 above
+    ``isym.top_gen_degree()``; the loop stops there, and the counts are
+    exact through ``degree_bound``, which the report records.  The total is
+    the full sdefect whenever the bound reaches that ceiling.
     """
     if isym.num_vars != ipow.num_vars or isym.field != ipow.field:
         raise ValueError("ideals live in different rings")
     if not isym.contains_ideal(ipow):
         raise ValueError("power ideal is not contained in the symbolic power")
     per_degree: dict[int, int] = {}
-    for d in range(degree_bound + 1):
+    ring = FreeModuleLayout(isym.num_vars, (0,))
+    for d in range(min(degree_bound, isym.top_gen_degree()) + 1):
         piece = isym.graded_piece(d)
         if piece.dim == 0:
             continue
@@ -305,7 +321,7 @@ def sdefect(isym: GradedIdeal, ipow: GradedIdeal, degree_bound: int, m: int = 0)
         if d >= 1:
             prev = isym.graded_piece(d - 1)
             if prev.dim:
-                blocks.append(isym._shift_rows(prev.basis, d - 1))
+                blocks.append(ring.shift_rows(prev.basis, d - 1, isym.field))
         if blocks:
             rows = np.concatenate(blocks, axis=0)
             comp = _compress(rows, piece, isym.field)

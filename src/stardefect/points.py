@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .gradedideal import GradedIdeal, SdefectReport, _complete_in_subspace, sdefect as lab_sdefect
+from .gradedideal import FreeModuleLayout, GradedIdeal, SdefectReport, _complete_in_subspace, sdefect as lab_sdefect
 from .linalg import Field, PrimeField, Subspace, _rref_pivots, kernel_basis, rank
 from .poly import (
     HomogPoly,
@@ -164,8 +164,7 @@ def points_profile(X: PointSet) -> PointsProfile:
 
 def _gens_from_pieces(pieces: dict[int, Subspace], field: Field, degree_bound: int) -> list[HomogPoly]:
     """Nakayama representatives across cached pieces 0..degree_bound."""
-    carrier = GradedIdeal(3, [], field)
-    carrier.warm_cache(pieces)
+    ring = FreeModuleLayout(3, (0,))
     gens: list[HomogPoly] = []
     for d in range(degree_bound + 1):
         piece = pieces[d]
@@ -174,7 +173,7 @@ def _gens_from_pieces(pieces: dict[int, Subspace], field: Field, degree_bound: i
         if d == 0 or pieces[d - 1].dim == 0:
             wrows = field.zeros((0, basis_size(3, d)))
         else:
-            wrows = carrier._shift_rows(pieces[d - 1].basis, d - 1)
+            wrows = ring.shift_rows(pieces[d - 1].basis, d - 1, field)
         for q in _complete_in_subspace(piece, wrows, field):
             gens.append(poly_from_vector(piece.basis[q], 3, d, field))
     return gens
@@ -346,9 +345,10 @@ def power_ideal(I: GradedIdeal, m: int) -> GradedIdeal:
 def sdefect_points(X: PointSet, m: int) -> SdefectReport:
     """Symbolic defect of the point ideal, with the certified degree bound.
 
-    Uses D = m*reg(I_X) + 1: regularity bounds both the saturation degree of
-    I_X^m and every generator degree in sight, so the per-degree counts are
-    complete and the total is exact.
+    Reports D = m*reg(I_X) + 1: regularity bounds both the saturation degree
+    of I_X^m and every generator degree in sight, so the per-degree counts are
+    complete and the total is exact.  I_X^(m) itself is built to its own
+    certified ceiling m*reg(I_X); sdefect stops at its top generator degree.
     """
     if m < 0:
         raise ValueError("negative power")
@@ -356,7 +356,7 @@ def sdefect_points(X: PointSet, m: int) -> SdefectReport:
         return SdefectReport(m=0, per_degree={}, total=0, degree_bound_used=0)
     reg = regularity_points(X)
     D = m * reg + 1
-    isym = symbolic_power_points(X, m, D)
+    isym = symbolic_power_points(X, m)
     base = ideal_of_points(X)
     ipow = power_ideal(base, m)
     return lab_sdefect(isym, ipow, D, m=m)
@@ -480,6 +480,8 @@ def star_points_from_lines(lines: list[HomogPoly]) -> PointSet:
 
 def random_general_lines(s: int, seed: int, prime: int = 32003) -> list[HomogPoly]:
     """Seeded generic line arrangement: pairwise independent, no 3 concurrent."""
+    if s < 2:
+        raise ValueError("need at least two lines")
     field = PrimeField(prime)
     for attempt in range(RETRY_CAP):
         stream = splitmix64(seed + attempt)

@@ -49,14 +49,21 @@ def test_lines_input_star_points(capsys):
 
 
 def test_star_input_uncertified_total(capsys):
-    code, out = run(
-        capsys, "sdefect", "--star", "random:degrees=[1,1,1,1],seed=3,c=2,vars=3", "--m", "2", "--json"
-    )
+    star = "random:degrees=[1,1,1,1],seed=3,c=2,vars=3"
+    # the default bound reaches the top generator degree of I^(2): exact total
+    code, out = run(capsys, "sdefect", "--star", star, "--m", "2", "--json")
     assert code == 0
-    rep = json.loads(out)
-    row = rep["results"][0]
-    assert row["total"] is None and row["total_certified"] is False
+    row = json.loads(out)["results"][0]
+    assert row["total"] == 1 and row["total_certified"] is True
     assert row["observed_total_up_to_bound"] == 1
+    # a bound below that degree (4) certifies nothing
+    code, out = run(capsys, "sdefect", "--star", star, "--m", "2", "--degree-bound", "3", "--json")
+    assert code == 0
+    row = json.loads(out)["results"][0]
+    assert row["total"] is None and row["total_certified"] is False
+    assert row["observed_total_up_to_bound"] == 0
+    code, out = run(capsys, "sdefect", "--star", star, "--m", "2", "--degree-bound", "3")
+    assert "sdefect=≥0 (uncertified)" in out
 
 
 def test_star_config_file(tmp_path, capsys):
@@ -109,6 +116,13 @@ def test_points_file_zero_denominator(tmp_path, capsys):
     code, err = run_err(capsys, "sdefect", "--points", str(f))
     assert code == 1
     assert err.startswith(f"error: {f}:2:")
+
+
+@pytest.mark.parametrize("s", ["0", "1"])
+def test_random_lines_need_two(capsys, s):
+    code, err = run_err(capsys, "sdefect", "--lines", f"random:s={s},seed=1")
+    assert code == 1
+    assert err == "error: need at least two lines\n"
 
 
 @pytest.mark.parametrize("command", ["hilbert", "betti"])
@@ -189,6 +203,10 @@ def _run_quiet(argv) -> tuple[int, str]:
         st.tuples(st.just("sdefect-m"), _bad_range),
         st.tuples(st.sampled_from(["hilbert-m", "betti-m"]), st.one_of(_bad_range, st.integers(-5, 0).map(str))),
         st.tuples(st.just("seeds"), st.integers(-3, 0).map(str)),
+        st.tuples(
+            st.sampled_from(["sdefect-star", "betti-points", "hilbert-points", "hilbert-max"]),
+            st.one_of(st.integers(-9, -1).map(str), _junk),
+        ),
     )
 )
 def test_malformed_input_exits_one_without_traceback(case):
@@ -211,6 +229,12 @@ def test_malformed_input_exits_one_without_traceback(case):
             argv = ["sdefect", "--star", path]
         elif kind == "seeds":
             argv = ["verify", "general-points", "--s-max", "1", "--seeds", payload]
+        elif kind == "sdefect-star":
+            argv = ["sdefect", "--star", "random:degrees=[1,1,1],c=2", "--degree-bound", payload]
+        elif kind.endswith("-points"):
+            argv = [kind.split("-")[0], "--points", "random:s=3,seed=1", "--degree-bound", payload]
+        elif kind == "hilbert-max":
+            argv = ["hilbert", "--points", "random:s=3,seed=1", "--max-degree", payload]
         else:
             argv = [kind.split("-")[0], "--points", "random:s=3,seed=1", "--m", payload]
         code, err = _run_quiet(argv)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from stardefect.linalg import GF32003, QQ
 from stardefect.gradedideal import (
     BettiTable,
+    FreeModuleLayout,
     GradedIdeal,
     betti_from_weyman,
     check_alternating_sum,
@@ -99,6 +100,35 @@ def test_sdefect_matches_monomial_count_star22():
     rep = sdefect(isym, ipow, 5)
     assert rep.total == 1
     assert rep.per_degree == {3: 1}
+
+
+def test_sdefect_stops_at_top_generator_degree():
+    isym = monomial_to_ideal(symbolic_power_star(3, 2, 3))
+    ipow = monomial_to_ideal(star_monomial(3, 2).power(3))
+    gmax = max(g.degree for g in isym.gens)
+    rep = sdefect(isym, ipow, gmax + 3)
+    assert rep.degree_bound_used == gmax + 3
+    assert rep.total == sdefect_star_monomial(3, 2, 3)
+    # the count needs pieces up to the ceiling; containment needs isym at
+    # the degrees of the ipow generators
+    needed = max([gmax] + [g.degree for g in ipow.gens])
+    assert max(isym._pieces) <= needed
+    assert max(ipow._pieces) <= gmax
+
+
+def test_min_gens_stops_at_top_generator_degree():
+    J = ideal("x0^2", "x1^3 + x0*x2^2", "x2^4")
+    assert J.min_gens_counts(4 + 3) == {2: 1, 3: 1, 4: 1}
+    assert max(J._pieces) == 4
+    assert GradedIdeal(3, [], GF32003).min_gens(5) == {}
+
+
+def test_contains_ideal_finds_a_later_non_member():
+    J = ideal("x0", "x1^2")
+    # mixed degrees; the one non-member is the second generator of degree 2
+    assert J.contains_ideal(ideal("x0*x2", "x1^2 + x0*x1", "x0^3", "x0*x2^2 - x1^2*x2"))
+    assert not J.contains_ideal(ideal("x0*x2", "x1^2 + x0*x1", "x1*x2", "x0^3"))
+    assert not J.contains_ideal(ideal("x1^3", "x0*x2", "x2^2 + x0*x1"))
 
 
 @settings(max_examples=20, deadline=None)
@@ -215,7 +245,7 @@ def test_piece_growth_and_nonnegative_mu(seed):
         piece = J.graded_piece(d)
         nxt = J.graded_piece(d + 1)
         if piece.dim:
-            shifted = J._shift_rows(piece.basis, d)
+            shifted = FreeModuleLayout(3, (0,)).shift_rows(piece.basis, d, GF32003)
             assert nxt.dim >= rank(shifted, GF32003)
     for d, reps in J.min_gens(6).items():
         assert len(reps) > 0
