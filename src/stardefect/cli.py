@@ -33,6 +33,7 @@ from .points import (
     random_general_lines,
     random_general_points,
     regularity_points,
+    sdefect2_fits_classification,
     sdefect_points,
     star_points_from_lines,
     symbolic_power_points,
@@ -383,21 +384,10 @@ def verify_monomial_grid(n_max: int, m_max: int, field: PrimeField) -> dict:
 
 
 def verify_general_points(s_max: int, seeds: list[int], field: PrimeField) -> dict:
-    expected = {1: 0, 2: 0, 4: 0, 3: 1, 5: 1, 7: 1, 8: 1}
     rows = []
     for s in range(1, s_max + 1):
-        per_seed = []
-        for seed in seeds:
-            X = random_general_points(s, seed, field.p)
-            per_seed.append(sdefect_points(X, 2).total)
-        agree = len(set(per_seed)) == 1
-        total = per_seed[0]
-        if s in expected:
-            ok = agree and total == expected[s]
-        else:
-            ok = agree and total > 1
-            if s in (6, 9):
-                ok = ok and total >= 3
+        per_seed = [sdefect_points(random_general_points(s, seed, field.p), 2).total for seed in seeds]
+        ok = len(set(per_seed)) == 1 and sdefect2_fits_classification(s, per_seed[0])
         rows.append({"s": s, "sdefect2": per_seed, "seeds": seeds, "ok": ok})
     return {"ok": all(r["ok"] for r in rows), "rows": rows}
 
@@ -493,8 +483,9 @@ def verify_paper_tables() -> dict:
 
 
 def cmd_verify(args, field) -> tuple[int, dict]:
-    if args.seeds < 1:
-        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+    for flag in ("seeds", "n_max", "m_max", "s_max"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag.replace('_', '-')} must be at least 1, got {getattr(args, flag)}")
     seeds = [args.seed + i for i in range(args.seeds)]
     if args.suite == "monomial-grid":
         out = verify_monomial_grid(args.n_max, args.m_max, field)
@@ -534,11 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
+    def common(p, with_input=True, degree_bound=True):
         p.add_argument("--field", type=int, default=32003, help="odd prime > 3 (default 32003)")
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--json", action="store_true", help="canonical JSON on stdout")
-        p.add_argument("--degree-bound", type=degree_flag, default=None)
+        if degree_bound:
+            p.add_argument("--degree-bound", type=degree_flag, default=None)
         if with_input:
             g = p.add_mutually_exclusive_group(required=True)
             g.add_argument("--points", help="file of a:b:c rows, or random:s=8,seed=1")
@@ -551,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", default="2", help="power or range, e.g. 2 or 0..6")
 
     p = sub.add_parser("hilbert", help="Hilbert function of R/I^(m)")
-    common(p)
+    common(p, degree_bound=False)  # --max-degree is the hilbert bound
     p.add_argument("--m", default=None)
     p.add_argument("--max-degree", type=degree_flag, default=None)
 

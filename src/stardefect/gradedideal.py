@@ -18,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Field, PrimeField, Subspace, _rref_pivots, kernel_basis, matmul_mod, rank, rref
+from .linalg import Field, PrimeField, Subspace, _rref_pivots, echelon, kernel_basis, matmul_mod, rank
 from .poly import (
     HomogPoly,
-    basis_exponents,
     basis_size,
     coefficient_vector,
     poly_from_vector,
-    rank_exponents,
+    product_positions,
     var_shift,
 )
 
@@ -122,13 +121,8 @@ class GradedIdeal:
         for g in self.gens:
             if g.degree > d or (only_degree is not None and g.degree != only_degree):
                 continue
-            k = d - g.degree
-            nk = basis_size(nv, k)
-            exps = basis_exponents(nv, k)
-            rows = self.field.zeros((nk, N))
-            for t, c in g.terms.items():
-                tgt = rank_exponents(exps + np.array(t, dtype=np.int64))
-                rows[np.arange(nk), tgt] = c
+            rows = self.field.zeros((basis_size(nv, d - g.degree), N))
+            _place_multiples(rows, g, d - g.degree)
             blocks.append(rows)
         if not blocks:
             return self.field.zeros((0, N))
@@ -228,6 +222,17 @@ class GradedIdeal:
         return {d: len(v) for d, v in self.min_gens(degree_bound).items()}
 
 
+def _place_multiples(out: np.ndarray, g: HomogPoly, k: int, offset: int = 0):
+    """Write basis(k)[i] * g into row i of out, columns shifted by offset.
+
+    The only place where multiples of a form become coefficient rows: one
+    ``product_positions`` call, one fancy-index assignment.
+    """
+    pos = product_positions(g.num_vars, k, list(g.terms))
+    rows = np.arange(pos.shape[0])[:, None]
+    out[rows, offset + pos] = np.array(list(g.terms.values()), dtype=out.dtype)
+
+
 def _compress(rows: np.ndarray, piece: Subspace, field: Field, check: bool = True) -> np.ndarray:
     """Coordinates of rows (known to lie in the piece) at its pivot columns.
 
@@ -252,36 +257,18 @@ def _complete_in_subspace(piece: Subspace, wrows: np.ndarray, field: Field) -> l
 
     Works in the compressed coordinates of the piece, where the basis rows
     become standard basis vectors e_0, ..., e_{k-1}.  Iterating in order
-    (increasing lex position of the leading monomials), e_q is kept iff it is
-    independent of span(wrows) plus the rows kept so far.  Against an RREF
-    span with pivot set P this test is cheap: e_q is dependent iff q is in P
-    and the corresponding RREF row *is* e_q.
+    (increasing lex position of the leading monomials), e_q is kept iff it
+    is independent of span(wrows) + span(e_0, ..., e_{q-1}), that is iff no
+    vector of span(wrows) ends at column q (has its last nonzero entry
+    there).  The end columns of a span are the pivots of an echelon form
+    with the columns reversed, so one non-reduced elimination answers every
+    q: the greedy completion is a column rank profile.
     """
     k = piece.dim
-    if k == 0:
-        return []
     comp = _compress(wrows, piece, field)
-    r, E, pivots = rref(comp, field)
-    cur = E[:r]
-    pivot_index = {c: i for i, c in enumerate(pivots)}
-    kept: list[int] = []
-    for q in range(k):
-        if cur.shape[0] == k:
-            break
-        i = pivot_index.get(q)
-        if i is not None:
-            # e_q lies in the span iff the RREF row with pivot q is e_q itself
-            row = np.asarray(cur[i] != 0)
-            row[q] = False
-            if not row.any():
-                continue
-        kept.append(q)
-        eq = field.zeros((1, k))
-        eq[0, q] = field.of(1)
-        r, E, pivots = rref(np.concatenate([cur, eq], axis=0), field)
-        cur = E[:r]
-        pivot_index = {c: i for i, c in enumerate(pivots)}
-    return kept
+    _, _, pivots = echelon(comp[:, ::-1], field, reduced=False)
+    ends = {k - 1 - c for c in pivots}
+    return [q for q in range(k) if q not in ends]
 
 
 def hilbert_function(J: GradedIdeal, d: int) -> int:
@@ -424,13 +411,9 @@ class FreeModuleLayout:
             nk = basis_size(nv, deg_mono)
             layout.append((k_idx, nk))
             block = field.zeros((nk, tgt_dim))
-            exps = basis_exponents(nv, deg_mono)
-            for comp, (g, b) in enumerate(zip(elem, target.twists)):
-                if g is None or g.is_zero:
-                    continue
-                for t, c in g.terms.items():
-                    pos = tgt_offs[comp] + rank_exponents(exps + np.array(t, dtype=np.int64))
-                    block[np.arange(nk), pos] = c
+            for comp, g in enumerate(elem):
+                if g is not None and not g.is_zero:
+                    _place_multiples(block, g, deg_mono, tgt_offs[comp])
             cols.append(block)
         if not cols:
             return field.zeros((tgt_dim, 0)), layout

@@ -350,21 +350,37 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, field: Field) -> np.ndarray:
 
 
 def kernel_basis(M: np.ndarray, field: Field) -> np.ndarray:
-    """Canonical basis (RREF rows) of the right kernel {v : M v = 0}."""
+    """Canonical basis (RREF rows) of the right kernel {v : M v = 0}.
+
+    One elimination: with the columns of M reversed, the standard kernel
+    vector of each free column ends (last nonzero entry, a 1) at that
+    column and is zero at every other free column.  Read back in the
+    original column order, these vectors start at distinct free columns and
+    vanish at each other's leading columns, so, ordered by leading column,
+    they already are the reduced row echelon basis of the kernel.
+    """
     ncols = M.shape[1]
     if M.size == 0:
         return _identity(ncols, field)
-    r, R, pivots = rref(M, field)
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    K = field.zeros((len(free), ncols))
-    for idx, fcol in enumerate(free):
-        K[idx, fcol] = field.of(1)
-        for i, pcol in enumerate(pivots):
-            K[idx, pcol] = field.neg(R[i, fcol])
+    r, R, pivots = rref(M[:, ::-1], field)
+    return np.ascontiguousarray(_complement_rows(R[:r], pivots, ncols, field)[::-1, ::-1])
+
+
+def _complement_rows(R: np.ndarray, pivots, n: int, field: Field) -> np.ndarray:
+    """The rows e_q - sum_i R[i, q] e_{pivots[i]}, one per non-pivot column q.
+
+    For an RREF basis R these span the annihilator of its row space (and,
+    read as vectors, the kernel of R), ordered by increasing q.
+    """
+    piv = list(pivots)
+    free = np.setdiff1d(np.arange(n), piv)
+    C = field.zeros((free.size, n))
+    C[np.arange(free.size), free] = field.of(1)
+    if piv:
+        C[:, piv] = -R[:, free].T
     if isinstance(field, PrimeField):
-        K %= field.p
-    kr, KR, _ = rref(K, field)
-    return KR[:kr]
+        C %= field.p
+    return C
 
 
 def _identity(n: int, field: Field) -> np.ndarray:
@@ -445,17 +461,7 @@ class Subspace:
 
     def conditions(self) -> np.ndarray:
         """Matrix C with row space = annihilator: v in subspace iff C @ v = 0."""
-        n = self.ambient_dim
-        free = [c for c in range(n) if c not in set(self.pivots)]
-        C = self.field.zeros((len(free), n))
-        one = self.field.of(1)
-        for i, q in enumerate(free):
-            C[i, q] = one
-            for j, pc in enumerate(self.pivots):
-                C[i, pc] = self.field.neg(self.basis[j, q])
-        if isinstance(self.field, PrimeField):
-            C %= self.field.p
-        return C
+        return _complement_rows(self.basis, self.pivots, self.ambient_dim, self.field)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)

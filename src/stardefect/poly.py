@@ -102,12 +102,25 @@ def rank_exponents(exps: np.ndarray) -> np.ndarray:
     return out
 
 
+def product_positions(num_vars: int, k: int, monos) -> np.ndarray:
+    """Positions of basis(k)[i] * monos[t] in their degree's basis.
+
+    Returns an (N_k, len(monos)) array; every product is ranked by one
+    ``rank_exponents`` call.  With monos of one degree e, row i lists where
+    the terms of basis(k)[i] * g land in basis(k + e) for a form g with
+    those monomials.
+    """
+    exps = basis_exponents(num_vars, k)
+    shifts = np.array(monos, dtype=np.int64).reshape(-1, num_vars)
+    prods = exps[:, None, :] + shifts[None, :, :]
+    return rank_exponents(prods.reshape(-1, num_vars)).reshape(exps.shape[0], shifts.shape[0])
+
+
 @lru_cache(maxsize=None)
 def var_shift(num_vars: int, d: int, j: int) -> np.ndarray:
     """Index map: basis(d) position i -> basis(d+1) position of x_j * basis(d)[i]."""
-    exps = basis_exponents(num_vars, d).copy()
-    exps[:, j] += 1
-    return rank_exponents(exps)
+    xj = tuple(int(v == j) for v in range(num_vars))
+    return product_positions(num_vars, d, [xj])[:, 0]
 
 
 @dataclass
@@ -224,12 +237,10 @@ def _multiply_dense_gfp(f: HomogPoly, g: HomogPoly) -> HomogPoly:
     d = f.degree + g.degree
     vf = coefficient_vector(f)
     idx = np.nonzero(vf)[0]
-    vals = vf[idx]
-    exps = basis_exponents(nv, f.degree)[idx]
+    coeffs = np.array([int(c) for c in g.terms.values()], dtype=np.int64)
+    tgt = product_positions(nv, f.degree, list(g.terms))[idx]
     out = np.zeros(basis_size(nv, d), dtype=np.int64)
-    for m, c in g.terms.items():
-        tgt = rank_exponents(exps + np.array(m, dtype=np.int64))
-        np.add.at(out, tgt, vals * int(c) % p)
+    np.add.at(out, tgt, vf[idx, None] * coeffs % p)
     out %= p
     return poly_from_vector(out, nv, d, f.field)
 

@@ -132,6 +132,29 @@ def test_power_below_one_rejected(capsys, command):
     assert err.startswith("error:") and "--m" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "monomial-grid", "--n-max", "-1", "--m-max", "0"],
+        ["verify", "monomial-grid", "--m-max", "0"],
+        ["verify", "general-points", "--s-max", "0"],
+    ],
+)
+def test_verify_sizes_below_one_rejected(capsys, argv):
+    # a grid or range with no cells would report a vacuous "ok": true
+    assert main(argv + ["--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_hilbert_rejects_degree_bound(capsys):
+    # --max-degree is the hilbert bound; --degree-bound is not a hilbert flag
+    assert main(["hilbert", "--points", "random:s=3,seed=1", "--degree-bound", "1", "--json"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(["hilbert", "--points", "random:s=3,seed=1", "--max-degree", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["hilbert_function"] == [1, 3]
+
+
 def test_star_report_carries_certificate(capsys):
     code, out = run(capsys, "sdefect", "--star", "random:degrees=[1,1,2,2],seed=7,c=2,vars=4", "--m", "2", "--json")
     assert code == 0
@@ -203,6 +226,7 @@ def _run_quiet(argv) -> tuple[int, str]:
         st.tuples(st.just("sdefect-m"), _bad_range),
         st.tuples(st.sampled_from(["hilbert-m", "betti-m"]), st.one_of(_bad_range, st.integers(-5, 0).map(str))),
         st.tuples(st.just("seeds"), st.integers(-3, 0).map(str)),
+        st.tuples(st.sampled_from(["n-max", "m-max", "s-max"]), st.integers(-3, 0).map(str)),
         st.tuples(
             st.sampled_from(["sdefect-star", "betti-points", "hilbert-points", "hilbert-max"]),
             st.one_of(st.integers(-9, -1).map(str), _junk),
@@ -229,6 +253,9 @@ def test_malformed_input_exits_one_without_traceback(case):
             argv = ["sdefect", "--star", path]
         elif kind == "seeds":
             argv = ["verify", "general-points", "--s-max", "1", "--seeds", payload]
+        elif kind.endswith("-max") and kind != "hilbert-max":
+            suite = "general-points" if kind == "s-max" else "monomial-grid"
+            argv = ["verify", suite, f"--{kind}", payload]
         elif kind == "sdefect-star":
             argv = ["sdefect", "--star", "random:degrees=[1,1,1],c=2", "--degree-bound", payload]
         elif kind.endswith("-points"):

@@ -1,11 +1,13 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stardefect.linalg import GF32003, QQ
+from stardefect.linalg import GF32003, QQ, PrimeField, Subspace, _echelon_reference
 from stardefect.gradedideal import (
     BettiTable,
     FreeModuleLayout,
     GradedIdeal,
+    _complete_in_subspace,
     betti_from_weyman,
     check_alternating_sum,
     graded_betti,
@@ -249,3 +251,31 @@ def test_piece_growth_and_nonnegative_mu(seed):
             assert nxt.dim >= rank(shifted, GF32003)
     for d, reps in J.min_gens(6).items():
         assert len(reps) > 0
+
+
+def _greedy_completion_oracle(W, k, field):
+    """Keep e_q when one rank test says it is independent of W and the rows kept so far."""
+    kept = []
+    rows = W
+    for q in range(k):
+        e = field.zeros((1, k))
+        e[0, q] = 1
+        cand = np.concatenate([rows, e], axis=0)
+        if _echelon_reference(cand, field, reduced=False)[0] > _echelon_reference(rows, field, reduced=False)[0]:
+            kept.append(q)
+            rows = cand
+    return kept
+
+
+def test_complete_in_subspace_matches_greedy_rank_oracle():
+    gf7 = PrimeField(7)
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        piece = Subspace.from_rows(rng.integers(0, 7, size=(int(rng.integers(1, n + 1)), n)), gf7)
+        k = piece.dim
+        # rows of the piece: random combinations of its basis, of random rank
+        r = int(rng.integers(0, k + 1))
+        coeffs = rng.integers(0, 7, size=(int(rng.integers(0, 2 * k + 1)), r)) @ rng.integers(0, 7, size=(r, k)) % 7
+        wrows = coeffs @ piece.basis % 7
+        assert _complete_in_subspace(piece, wrows, gf7) == _greedy_completion_oracle(coeffs, k, gf7)

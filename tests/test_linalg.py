@@ -192,3 +192,67 @@ def test_field_cross_check_dimensions():
     rng = np.random.default_rng(11)
     M = rng.integers(-5, 6, size=(20, 30))
     assert rank(M % 32003, GF32003) == rank(M % 65537, GF65537)
+
+
+GF7 = PrimeField(7)
+
+
+def _kernel_oracle(M, field):
+    """Kernel RREF by the per-pivot reference elimination only."""
+    n = M.shape[1]
+    r, R, piv = _echelon_reference(M, field, reduced=True)
+    free = [c for c in range(n) if c not in piv]
+    K = field.zeros((len(free), n))
+    for t, q in enumerate(free):
+        K[t, q] = field.of(1)
+        for i, c in enumerate(piv):
+            K[t, c] = field.of(-R[i, q])
+    if not free:
+        return K
+    kr, KR, _ = _echelon_reference(K, field, reduced=True)
+    return KR[:kr]
+
+
+def _rank_deficient(rng, rows, cols, p):
+    """A random matrix of random rank, some columns zeroed out."""
+    r = int(rng.integers(0, min(rows, cols) + 1))
+    M = random_matrix(rng, rows, r, p) @ random_matrix(rng, r, cols, p) % p
+    M[:, rng.random(cols) < 0.2] = 0
+    return M
+
+
+def test_kernel_basis_matches_reference_oracle_gf7():
+    rng = np.random.default_rng(2024)
+    cases = [np.zeros((3, 5), dtype=np.int64), np.eye(4, dtype=np.int64), random_matrix(rng, 3, 7, 7)]
+    cases += [_rank_deficient(rng, int(rng.integers(1, 9)), int(rng.integers(1, 12)), 7) for _ in range(400)]
+    for M in cases:
+        K = kernel_basis(M, GF7)
+        expected = _kernel_oracle(M, GF7)
+        assert K.shape == expected.shape and np.array_equal(K, expected), M
+
+
+def test_kernel_basis_matches_reference_oracle_qq():
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        r = int(rng.integers(0, min(rows, cols) + 1))
+        A = rng.integers(-3, 4, size=(rows, r)) @ rng.integers(-3, 4, size=(r, cols))
+        M = QQ.matrix(A.tolist())
+        K = kernel_basis(M, QQ)
+        expected = _kernel_oracle(M, QQ)
+        assert K.shape == expected.shape and all(a == b for a, b in zip(K.flat, expected.flat))
+
+
+def test_conditions_cut_out_the_subspace():
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        n = int(rng.integers(1, 10))
+        S = Subspace.from_rows(_rank_deficient(rng, int(rng.integers(1, 8)), n, 7), GF7)
+        C = S.conditions()
+        assert C.shape == (n - S.dim, n)
+        assert _echelon_reference(C, GF7, reduced=False)[0] == n - S.dim
+        if S.dim and C.size:
+            assert not np.any(C @ S.basis.T % 7)
+    S = Subspace.from_rows(QQ.matrix([[1, 2, 3], [2, 4, 7]]), QQ)
+    C = S.conditions()
+    assert C.shape == (1, 3) and not any(x != 0 for x in (C @ S.basis.T).flat)

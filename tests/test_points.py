@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from stardefect.gradedideal import graded_betti, ideals_equal
 from stardefect.linalg import GF32003, PrimeField
 from stardefect.points import (
+    _PointConditions,
     generic_double_hf,
     generator_count_check,
     hilbert_function_points,
@@ -27,7 +28,7 @@ from stardefect.points import (
     symbolic_power_points,
     verify_general_points_classification,
 )
-from stardefect.poly import evaluate, parse_form
+from stardefect.poly import basis_exponents, evaluate, mono_index, parse_form
 
 
 def pts(*rows, prime=32003):
@@ -281,3 +282,42 @@ def test_star_intersection_points_probe():
     generic_same_size = random_general_points(6, 8)
     assert linear_resolution_check(generic_same_size)
     assert sdefect_points(generic_same_size, 2).total != 1
+
+
+def _condition_table_oracle(A, m, d, p):
+    """The degree-d condition table, one row (i, j) at a time from degree d - 1."""
+    rows = [(i, j) for i in range(m) for j in range(m - i)]
+    index = {ij: r for r, ij in enumerate(rows)}
+    prev = np.zeros((len(rows), 1), dtype=np.int64)
+    prev[index[(0, 0)], 0] = 1
+    for e in range(1, d + 1):
+        exps = basis_exponents(3, e)
+        first_var = np.argmax(exps > 0, axis=1)
+        parent = exps.copy()
+        parent[np.arange(len(exps)), first_var] -= 1
+        parent_idx = np.array([mono_index(tuple(u)) for u in parent.tolist()], dtype=np.int64)
+        out = np.zeros((len(rows), len(exps)), dtype=np.int64)
+        for v in range(3):
+            sel = np.nonzero(first_var == v)[0]
+            par = parent_idx[sel]
+            a0, a1, a2 = (int(A[v, t]) for t in range(3))
+            for r, (i, j) in enumerate(rows):
+                acc = prev[r, par] * a2 % p
+                if i > 0:
+                    acc = (acc + prev[index[(i - 1, j)], par] * a0) % p
+                if j > 0:
+                    acc = (acc + prev[index[(i, j - 1)], par] * a1) % p
+                out[r, sel] = acc
+        prev = out
+    return prev
+
+
+@pytest.mark.parametrize("prime", [7, 32003])
+def test_point_condition_tables_match_per_row_loop(prime):
+    field = PrimeField(prime)
+    X = pts((1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 5, 1), (1, 2, 6), prime=prime)
+    for pt in X.points:
+        for m in (1, 2, 4):
+            conds = _PointConditions(pt, m, field)
+            for d in range(7):
+                assert np.array_equal(conds.table(d), _condition_table_oracle(conds.A, m, d, prime))

@@ -13,11 +13,13 @@ from stardefect.poly import (
     evaluate,
     format_poly,
     mono_index,
+    mono_mul,
     monomial_basis,
     multiply,
     parse_form,
     poly_from_vector,
     power,
+    product_positions,
     rank_exponents,
     substitute,
     basis_exponents,
@@ -52,6 +54,18 @@ def test_basis_cardinality_closed_form(nv, d):
 def test_rank_exponents_matches_enumeration(nv, d):
     exps = basis_exponents(nv, d)
     assert np.array_equal(rank_exponents(exps), np.arange(basis_size(nv, d)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 5), st.integers(0, 4), st.integers(0, 10**6))
+def test_product_positions_match_mono_index(nv, k, e, seed):
+    rng = np.random.default_rng(seed)
+    basis_e = monomial_basis(nv, e)
+    monos = [basis_e[i] for i in rng.integers(0, len(basis_e), size=int(rng.integers(1, 6)))]
+    pos = product_positions(nv, k, monos)
+    expected = [[mono_index(mono_mul(b, m)) for m in monos] for b in monomial_basis(nv, k)]
+    assert pos.shape == (basis_size(nv, k), len(monos))
+    assert pos.tolist() == expected
 
 
 def test_simple_products():
