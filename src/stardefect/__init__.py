@@ -14,7 +14,6 @@ from .gradedideal import (
     betti_from_weyman,
     check_alternating_sum,
     graded_betti,
-    hilbert_function,
     ideals_equal,
     sdefect,
 )

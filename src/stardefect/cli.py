@@ -27,7 +27,6 @@ from .monomial import (
 from .poly import HomogPoly, ParseError, basis_size, parse_form
 from .points import (
     PointSet,
-    ideal_of_points,
     make_point_set,
     power_ideal,
     random_general_lines,
@@ -139,6 +138,8 @@ def load_lines(spec: str, field: PrimeField, default_seed: int) -> list[HomogPol
 
 def load_point_input(args, field: PrimeField) -> PointSet:
     """The points of --points, or the pairwise meets of the --lines."""
+    if args.c is not None:
+        raise ValueError("--c applies only with --star")
     if args.points:
         return load_points(args.points, field, args.seed)
     return star_points_from_lines(load_lines(args.lines, field, args.seed))
@@ -215,10 +216,6 @@ def _points_json(X: PointSet) -> list[str]:
     return [f"{a}:{b}:{c}" for a, b, c in X.points]
 
 
-def _betti_json(table) -> list:
-    return [{"i": i, "j": j, "rank": r} for (i, j), r in table.entries]
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -228,6 +225,8 @@ def cmd_sdefect(args, field) -> tuple[int, dict]:
     results = []
     report = {"command": "sdefect", "field": field.p}
     if args.points or args.lines:
+        if args.degree_bound is not None:
+            raise ValueError("--degree-bound applies to sdefect only with --star")
         X = load_point_input(args, field)
         report["input"] = {
             "points": _points_json(X),
@@ -284,7 +283,7 @@ def cmd_hilbert(args, field) -> tuple[int, dict]:
         X = load_point_input(args, field)
         reg = regularity_points(X)
         top = args.max_degree if args.max_degree is not None else m * reg + 1
-        J = symbolic_power_points(X, m, max(top, m * reg)) if m > 1 else ideal_of_points(X, max(top, reg))
+        J = symbolic_power_points(X, m, max(top, m * reg))
         report["input"] = {"points": _points_json(X), "seed": X.seed}
     else:
         cfg = load_star(args.star, args.c, field, args.seed)
@@ -303,7 +302,7 @@ def cmd_betti(args, field) -> tuple[int, dict]:
     if args.points or args.lines:
         X = load_point_input(args, field)
         reg = regularity_points(X)
-        J = symbolic_power_points(X, m) if m > 1 else ideal_of_points(X)
+        J = symbolic_power_points(X, m)
         D = args.degree_bound if args.degree_bound is not None else m * reg + 2
         report["input"] = {"points": _points_json(X), "seed": X.seed}
     else:
@@ -314,7 +313,7 @@ def cmd_betti(args, field) -> tuple[int, dict]:
     table = graded_betti(J, 2, D)
     report["m"] = m
     report["degree_bound"] = D
-    report["betti"] = _betti_json(table)
+    report["betti"] = table.to_json()["betti"]
     report["display"] = table.display()
     return EXIT_OK, report
 

@@ -14,11 +14,12 @@ modules, one coefficient column per (generator, monomial) pair.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Field, PrimeField, Subspace, _rref_pivots, echelon, kernel_basis, matmul_mod, rank
+from .linalg import Field, Subspace, echelon
 from .poly import (
     HomogPoly,
     basis_size,
@@ -37,14 +38,6 @@ class SdefectReport:
     per_degree: dict[int, int]
     total: int
     degree_bound_used: int
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "per_degree": {str(d): c for d, c in sorted(self.per_degree.items())},
-            "total": self.total,
-            "degree_bound_used": self.degree_bound_used,
-        }
 
 
 @dataclass(frozen=True)
@@ -108,6 +101,26 @@ class GradedIdeal:
                 self.gens.append(g)
         self._pieces: dict[int, Subspace] = {}
 
+    @classmethod
+    def from_pieces(cls, num_vars: int, pieces: dict[int, Subspace], field: Field) -> "GradedIdeal":
+        """The ideal generated by Nakayama representatives of pieces 0..D.
+
+        ``pieces`` maps every degree 0..D to a subspace M_d of R_d.  The
+        representatives of degree d complete R_1 M_{d-1} inside M_d, and
+        that containment is checked exactly, so the ideal they generate has
+        exactly these pieces through D, which are installed in its cache.
+        The caller certifies that no generator lies above D.
+        """
+        ring = FreeModuleLayout(num_vars, (0,))
+        gens = [
+            poly_from_vector(piece.basis[q], num_vars, d, field)
+            for d, piece, kept in _nakayama(ring, pieces.__getitem__, range(len(pieces)), field)
+            for q in kept
+        ]
+        J = cls(num_vars, gens, field)
+        J._pieces.update(pieces)
+        return J
+
     def __repr__(self):
         return f"GradedIdeal({self.num_vars} vars, {len(self.gens)} gens, {self.field})"
 
@@ -135,25 +148,14 @@ class GradedIdeal:
         if d in self._pieces:
             return self._pieces[d]
         if (d - 1) in self._pieces:
-            prev = self._pieces[d - 1]
             ring = FreeModuleLayout(self.num_vars, (0,))
-            rows = [ring.shift_rows(prev.basis, d - 1, self.field)] if prev.dim else []
-            rows.append(self._gen_rows(d, only_degree=d))
-            stacked = np.concatenate(rows, axis=0) if rows else self._gen_rows(d)
+            shifted = ring.shift_rows(self._pieces[d - 1].basis, d - 1, self.field)
+            stacked = np.concatenate([shifted, self._gen_rows(d, only_degree=d)], axis=0)
         else:
             stacked = self._gen_rows(d)
         piece = Subspace.from_rows(stacked, self.field, basis_size(self.num_vars, d))
         self._pieces[d] = piece
         return piece
-
-    def warm_cache(self, pieces: dict[int, Subspace]):
-        """Install externally computed pieces (callers certify correctness).
-
-        Every installed piece must be the degree-d piece of the ideal that
-        ``gens`` generates.  Pieces computed later, and the generator-degree
-        ceiling of :meth:`min_gens` and :func:`sdefect`, rely on it.
-        """
-        self._pieces.update(pieces)
 
     def hilbert_function(self, d: int) -> int:
         """dim R_d - dim J_d, the Hilbert function of the quotient ring."""
@@ -199,24 +201,12 @@ class GradedIdeal:
         canonical piece basis that complete R_1 J_{d-1} inside J_d.  Degrees
         above :meth:`top_gen_degree` are skipped: their count is 0.
         """
-        out: dict[int, list[HomogPoly]] = {}
         ring = FreeModuleLayout(self.num_vars, (0,))
-        for d in range(min(degree_bound, self.top_gen_degree()) + 1):
-            piece = self.graded_piece(d)
-            if piece.dim == 0:
-                continue
-            if d == 0:
-                wrows = self.field.zeros((0, basis_size(self.num_vars, 0)))
-            else:
-                prev = self.graded_piece(d - 1)
-                wrows = ring.shift_rows(prev.basis, d - 1, self.field)
-            kept = _complete_in_subspace(piece, wrows, self.field)
-            if kept:
-                out[d] = [
-                    poly_from_vector(piece.basis[q], self.num_vars, d, self.field)
-                    for q in kept
-                ]
-        return out
+        degrees = range(min(degree_bound, self.top_gen_degree()) + 1)
+        return {
+            d: [poly_from_vector(piece.basis[q], self.num_vars, d, self.field) for q in kept]
+            for d, piece, kept in _nakayama(ring, self.graded_piece, degrees, self.field)
+        }
 
     def min_gens_counts(self, degree_bound: int) -> dict[int, int]:
         return {d: len(v) for d, v in self.min_gens(degree_bound).items()}
@@ -233,46 +223,57 @@ def _place_multiples(out: np.ndarray, g: HomogPoly, k: int, offset: int = 0):
     out[rows, offset + pos] = np.array(list(g.terms.values()), dtype=out.dtype)
 
 
-def _compress(rows: np.ndarray, piece: Subspace, field: Field, check: bool = True) -> np.ndarray:
-    """Coordinates of rows (known to lie in the piece) at its pivot columns.
-
-    With the RREF basis B, a vector v of the subspace satisfies
-    v = v[pivots] @ B, so slicing the pivot columns is a linear isomorphism
-    onto k^dim.  ``check`` verifies the membership assumption exactly.
-    """
-    comp = rows[:, list(piece.pivots)]
-    if check and rows.size:
-        recon = matmul_mod(comp, piece.basis, field)
-        if isinstance(field, PrimeField):
-            bad = np.any((rows - recon) % field.p != 0)
-        else:
-            bad = np.any(rows != recon)
-        if bad:
-            raise ArithmeticError("rows do not lie in the expected graded piece")
-    return comp
-
-
 def _complete_in_subspace(piece: Subspace, wrows: np.ndarray, field: Field) -> list[int]:
     """Indices of piece basis rows greedily completing span(wrows) to the piece.
 
-    Works in the compressed coordinates of the piece, where the basis rows
-    become standard basis vectors e_0, ..., e_{k-1}.  Iterating in order
-    (increasing lex position of the leading monomials), e_q is kept iff it
-    is independent of span(wrows) + span(e_0, ..., e_{q-1}), that is iff no
-    vector of span(wrows) ends at column q (has its last nonzero entry
-    there).  The end columns of a span are the pivots of an echelon form
-    with the columns reversed, so one non-reduced elimination answers every
-    q: the greedy completion is a column rank profile.
+    The rows must lie in the piece, which is checked exactly.  With the RREF
+    basis B, a vector v of the piece satisfies v = v[pivots] @ B, so in the
+    compressed coordinates v[pivots] the basis rows become standard basis
+    vectors e_0, ..., e_{k-1}.  Iterating in order (increasing lex position
+    of the leading monomials), e_q is kept iff it is independent of
+    span(wrows) + span(e_0, ..., e_{q-1}), that is iff no vector of
+    span(wrows) ends at column q (has its last nonzero entry there).  The
+    end columns of a span are the pivots of an echelon form with the columns
+    reversed, so one non-reduced elimination answers every q: the greedy
+    completion is a column rank profile.
     """
+    if not piece.contains_rows(wrows):
+        raise ArithmeticError("rows do not lie in the expected graded piece")
     k = piece.dim
-    comp = _compress(wrows, piece, field)
+    comp = wrows[:, list(piece.pivots)]
     _, _, pivots = echelon(comp[:, ::-1], field, reduced=False)
     ends = {k - 1 - c for c in pivots}
     return [q for q in range(k) if q not in ends]
 
 
-def hilbert_function(J: GradedIdeal, d: int) -> int:
-    return J.hilbert_function(d)
+def _nakayama(
+    layout: FreeModuleLayout,
+    piece_at: Callable[[int], Subspace],
+    degrees: range,
+    field: Field,
+    extra: Callable[[int], np.ndarray] | None = None,
+) -> Iterator[tuple[int, Subspace, list[int]]]:
+    """Nakayama completion of a graded submodule M of a free module, by degree.
+
+    ``piece_at(d)`` is M_d, a subspace of the degree-d piece of ``layout``.
+    For each d in the consecutive ``degrees`` with M_d nonzero, the basis
+    rows of M_d that greedily complete extra(d) + R_1 M_{d-1} inside M_d
+    are kept, and ``(d, M_d, kept)`` is yielded when any is.  With no
+    ``extra`` they are minimal generators of M in degree d; with extra(d)
+    the basis of a submodule's degree-d piece, they count minimal
+    generators of the quotient.  M_{d-1} is zero below the first degree.
+    """
+    prev = Subspace.zero(layout.piece_dim(degrees.start - 1), field)
+    for d in degrees:
+        piece = piece_at(d)
+        if piece.dim:
+            rows = layout.shift_rows(prev.basis, d - 1, field)
+            if extra is not None:
+                rows = np.concatenate([extra(d), rows], axis=0)
+            kept = _complete_in_subspace(piece, rows, field)
+            if kept:
+                yield d, piece, kept
+        prev = piece
 
 
 def ideals_equal(J: GradedIdeal, K: GradedIdeal) -> bool:
@@ -295,29 +296,10 @@ def sdefect(isym: GradedIdeal, ipow: GradedIdeal, degree_bound: int, m: int = 0)
         raise ValueError("ideals live in different rings")
     if not isym.contains_ideal(ipow):
         raise ValueError("power ideal is not contained in the symbolic power")
-    per_degree: dict[int, int] = {}
     ring = FreeModuleLayout(isym.num_vars, (0,))
-    for d in range(min(degree_bound, isym.top_gen_degree()) + 1):
-        piece = isym.graded_piece(d)
-        if piece.dim == 0:
-            continue
-        blocks = []
-        pw = ipow.graded_piece(d)
-        if pw.dim:
-            blocks.append(pw.basis)
-        if d >= 1:
-            prev = isym.graded_piece(d - 1)
-            if prev.dim:
-                blocks.append(ring.shift_rows(prev.basis, d - 1, isym.field))
-        if blocks:
-            rows = np.concatenate(blocks, axis=0)
-            comp = _compress(rows, piece, isym.field)
-            w_dim = rank(comp, isym.field)
-        else:
-            w_dim = 0
-        mu = piece.dim - w_dim
-        if mu:
-            per_degree[d] = mu
+    degrees = range(min(degree_bound, isym.top_gen_degree()) + 1)
+    steps = _nakayama(ring, isym.graded_piece, degrees, isym.field, extra=lambda d: ipow.graded_piece(d).basis)
+    per_degree = {d: len(kept) for d, _, kept in steps}
     return SdefectReport(
         m=m,
         per_degree=per_degree,
@@ -391,33 +373,27 @@ class FreeModuleLayout:
                 out[v * k : (v + 1) * k, tgt] = block
         return out
 
-    def map_matrix(self, images: list[ModuleElement], target: "FreeModuleLayout", j: int, field: Field) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    def map_matrix(self, images: list[ModuleElement], target: "FreeModuleLayout", j: int, field: Field) -> np.ndarray:
         """Matrix of the map sending generator k to images[k], in degree j.
 
         Columns are indexed by (generator, monomial of degree j - deg_k)
-        pairs; returns the matrix (target piece dim x source piece dim) and
-        the column layout as (generator index, local monomial count) blocks.
+        pairs, the order of :meth:`piece_dim`; rows by the target piece.
         """
-        nv = self.num_vars
         tgt_dim = target.piece_dim(j)
         cols = []
-        layout = []
         tgt_offs = target.offsets(j)
-        for k_idx, (a, elem) in enumerate(zip(self.twists, images)):
+        for a, elem in zip(self.twists, images):
             if j < a:
-                layout.append((k_idx, 0))
                 continue
             deg_mono = j - a
-            nk = basis_size(nv, deg_mono)
-            layout.append((k_idx, nk))
-            block = field.zeros((nk, tgt_dim))
+            block = field.zeros((basis_size(self.num_vars, deg_mono), tgt_dim))
             for comp, g in enumerate(elem):
                 if g is not None and not g.is_zero:
                     _place_multiples(block, g, deg_mono, tgt_offs[comp])
             cols.append(block)
         if not cols:
-            return field.zeros((tgt_dim, 0)), layout
-        return np.concatenate(cols, axis=0).T.copy(), layout
+            return field.zeros((tgt_dim, 0))
+        return np.concatenate(cols, axis=0).T.copy()
 
 
 def graded_betti(J: GradedIdeal, homological_bound: int, degree_bound: int) -> BettiTable:
@@ -470,28 +446,14 @@ def _module_min_gens_of_kernel(
     """
     reps: list[tuple[int, ModuleElement]] = []
     counts: dict[int, int] = {}
-    prev_kernel: Subspace | None = None
-    start = min(source.twists) if source.twists else 0
-    for j in range(start, degree_bound + 1):
-        if source.piece_dim(j) == 0:
-            prev_kernel = None
-            continue
-        M, _ = source.map_matrix(images, target, j, field)
-        K = kernel_basis(M, field)
-        piece = Subspace(field, K.shape[1], K, _rref_pivots(K))
-        if piece.dim == 0:
-            prev_kernel = piece
-            continue
-        if prev_kernel is not None and prev_kernel.dim:
-            wrows = source.shift_rows(prev_kernel.basis, j - 1, field)
-        else:
-            wrows = field.zeros((0, piece.ambient_dim))
-        kept = _complete_in_subspace(piece, wrows, field)
-        if kept:
-            counts[j] = len(kept)
-            for q in kept:
-                reps.append((j, source.vector_to_element(piece.basis[q], j, field)))
-        prev_kernel = piece
+
+    def kernel_at(j: int) -> Subspace:
+        return Subspace.kernel(source.map_matrix(images, target, j, field), field)
+
+    degrees = range(min(source.twists, default=0), degree_bound + 1)
+    for j, piece, kept in _nakayama(source, kernel_at, degrees, field):
+        counts[j] = len(kept)
+        reps.extend((j, source.vector_to_element(piece.basis[q], j, field)) for q in kept)
     return reps, counts
 
 

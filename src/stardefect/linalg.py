@@ -418,6 +418,12 @@ class Subspace:
         return Subspace(field, ambient_dim, A[:r], pivots)
 
     @staticmethod
+    def kernel(M: np.ndarray, field: Field) -> "Subspace":
+        """The right kernel {v : M v = 0}, held by its canonical basis."""
+        K = kernel_basis(M, field)
+        return Subspace(field, M.shape[1], K, _rref_pivots(K))
+
+    @staticmethod
     def zero(ambient_dim: int, field: Field) -> "Subspace":
         return Subspace(field, ambient_dim, field.zeros((0, ambient_dim)), ())
 
@@ -468,8 +474,7 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim, self.field)
         cond = np.concatenate([self.conditions(), other.conditions()], axis=0)
-        K = kernel_basis(cond, self.field)
-        return Subspace(self.field, self.ambient_dim, K, _rref_pivots(K))
+        return Subspace.kernel(cond, self.field)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)

@@ -1,10 +1,11 @@
 """Finite point schemes in the projective plane.
 
-Interpolation ideals come from exact evaluation matrices; symbolic powers
-are cut out degree by degree as kernels of per-point vanishing conditions.
-The conditions for one point are obtained by a linear change of coordinates
-moving the point to [0:0:1], where membership in the m-th power of the point
-ideal reads off the coefficients whose z0/z1-degree is below m.  This is the
+Interpolation ideals and their symbolic powers are cut out degree by degree
+as kernels of per-point vanishing conditions; the Hilbert function of the
+points themselves is the rank of an exact evaluation matrix.  The conditions
+for one point are obtained by a linear change of coordinates moving the point
+to [0:0:1], where membership in the m-th power of the point ideal reads off
+the coefficients whose z0/z1-degree is below m.  This is the
 complete-intersection span description of the symbolic power in kernel form,
 with no derivatives anywhere, so nothing depends on the characteristic.  A
 direct subspace-intersection route is kept alongside as a cross-check
@@ -23,8 +24,8 @@ from math import comb
 
 import numpy as np
 
-from .gradedideal import FreeModuleLayout, GradedIdeal, SdefectReport, _complete_in_subspace, sdefect as lab_sdefect
-from .linalg import Field, PrimeField, Subspace, _rref_pivots, kernel_basis, rank
+from .gradedideal import GradedIdeal, SdefectReport, sdefect as lab_sdefect
+from .linalg import PrimeField, Subspace, kernel_basis, rank
 from .poly import (
     HomogPoly,
     basis_exponents,
@@ -163,43 +164,15 @@ def points_profile(X: PointSet) -> PointsProfile:
 # interpolation ideals and symbolic powers
 # ---------------------------------------------------------------------------
 
-def _gens_from_pieces(pieces: dict[int, Subspace], field: Field, degree_bound: int) -> list[HomogPoly]:
-    """Nakayama representatives across cached pieces 0..degree_bound."""
-    ring = FreeModuleLayout(3, (0,))
-    gens: list[HomogPoly] = []
-    for d in range(degree_bound + 1):
-        piece = pieces[d]
-        if piece.dim == 0:
-            continue
-        if d == 0 or pieces[d - 1].dim == 0:
-            wrows = field.zeros((0, basis_size(3, d)))
-        else:
-            wrows = ring.shift_rows(pieces[d - 1].basis, d - 1, field)
-        for q in _complete_in_subspace(piece, wrows, field):
-            gens.append(poly_from_vector(piece.basis[q], 3, d, field))
-    return gens
-
-
 def ideal_of_points(X: PointSet, degree_bound: int | None = None) -> GradedIdeal:
-    """The interpolation ideal I_X with pieces and generators up to reg(I_X).
+    """The interpolation ideal I_X = I_X^(1), with pieces and generators up to the bound.
 
-    The degree bound, when given, must be at least reg(I_X) (the generator
-    degree ceiling for plane points); the default is exactly that.
+    The order-1 condition row of a point holds the value of each monomial
+    there, its evaluation-matrix row.  The degree bound, when given, must be
+    at least reg(I_X) (the generator degree ceiling for plane points); the
+    default is exactly that.
     """
-    reg = regularity_points(X)
-    if degree_bound is None:
-        degree_bound = reg
-    if degree_bound < reg:
-        raise ValueError(f"degree bound {degree_bound} is below the generator ceiling {reg}")
-    field = X.field
-    pieces: dict[int, Subspace] = {}
-    for d in range(degree_bound + 1):
-        K = kernel_basis(evaluation_matrix(X, d), field)
-        pieces[d] = Subspace(field, basis_size(3, d), K, _rref_pivots(K))
-    gens = _gens_from_pieces(pieces, field, degree_bound)
-    J = GradedIdeal(3, gens, field)
-    J.warm_cache(pieces)
-    return J
+    return symbolic_power_points(X, 1, degree_bound)
 
 
 def _adapted_frame(point, field: PrimeField) -> np.ndarray:
@@ -273,9 +246,7 @@ def symbolic_power_pieces(X: PointSet, m: int, degree_bound: int) -> dict[int, S
     conds = [_PointConditions(pt, m, field) for pt in X.points]
     pieces: dict[int, Subspace] = {}
     for d in range(degree_bound + 1):
-        C = np.concatenate([c.table(d) for c in conds], axis=0)
-        K = kernel_basis(C, field)
-        pieces[d] = Subspace(field, basis_size(3, d), K, _rref_pivots(K))
+        pieces[d] = Subspace.kernel(np.concatenate([c.table(d) for c in conds], axis=0), field)
     return pieces
 
 
@@ -284,8 +255,8 @@ def symbolic_power_points(X: PointSet, m: int, degree_bound: int | None = None) 
 
     The degree bound must be at least m * reg(I_X); beyond that degree the
     symbolic and ordinary powers agree and the module of new generators is
-    exhausted, so the Nakayama generators computed below generate the whole
-    symbolic power.
+    exhausted, so the Nakayama generators of its pieces
+    (:meth:`GradedIdeal.from_pieces`) generate the whole symbolic power.
     """
     if m < 1:
         raise ValueError("symbolic power needs m >= 1")
@@ -297,11 +268,7 @@ def symbolic_power_points(X: PointSet, m: int, degree_bound: int | None = None) 
         raise ValueError(
             f"degree bound {degree_bound} is below the certified bound {certified} = m*reg"
         )
-    pieces = symbolic_power_pieces(X, m, degree_bound)
-    gens = _gens_from_pieces(pieces, X.field, degree_bound)
-    J = GradedIdeal(3, gens, X.field)
-    J.warm_cache(pieces)
-    return J
+    return GradedIdeal.from_pieces(3, symbolic_power_pieces(X, m, degree_bound), X.field)
 
 
 def symbolic_piece_by_intersection(X: PointSet, m: int, d: int) -> Subspace:

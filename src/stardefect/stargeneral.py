@@ -31,7 +31,7 @@ from math import comb
 import numpy as np
 
 from .gradedideal import BettiTable, GradedIdeal, graded_betti, ideals_equal
-from .linalg import Field, PrimeField, Subspace, _rref_pivots, kernel_basis, matmul_mod, rank
+from .linalg import Field, PrimeField, Subspace, matmul_mod, rank
 from .monomial import uniform_star, uniform_symbolic_power
 from .points import RETRY_CAP, splitmix64
 from .poly import HomogPoly, basis_size, multiply, poly_from_vector, substitute
@@ -223,9 +223,7 @@ def colon_by_form_piece(J: GradedIdeal, F: HomogPoly, t: int) -> Subspace:
     cond = target.conditions()
     if cond.shape[0] == 0:
         return Subspace.full(basis_size(nv, t), field)
-    system = matmul_mod(cond, M.T.copy(), field)
-    K = kernel_basis(system, field)
-    return Subspace(field, basis_size(nv, t), K, _rref_pivots(K))
+    return Subspace.kernel(matmul_mod(cond, M.T.copy(), field), field)
 
 
 def colon_lemma_check(cfg: StarConfig) -> bool:

@@ -155,6 +155,22 @@ def test_hilbert_rejects_degree_bound(capsys):
     assert json.loads(capsys.readouterr().out)["hilbert_function"] == [1, 3]
 
 
+@pytest.mark.parametrize("kind", ["--points", "--lines"])
+def test_sdefect_points_reject_degree_bound(capsys, kind):
+    # the points report certifies its own bound m*reg+1; only --star takes one
+    code, err = run_err(capsys, "sdefect", kind, "random:s=3,seed=1", "--m", "2", "--degree-bound", "1", "--json")
+    assert code == 1
+    assert err.startswith("error:") and "--degree-bound" in err
+
+
+@pytest.mark.parametrize("command", ["sdefect", "hilbert", "betti"])
+@pytest.mark.parametrize("kind", ["--points", "--lines"])
+def test_codimension_flag_needs_star(capsys, command, kind):
+    code, err = run_err(capsys, command, kind, "random:s=3,seed=1", "--c", "7", "--json")
+    assert code == 1
+    assert err.startswith("error:") and "--c" in err
+
+
 def test_star_report_carries_certificate(capsys):
     code, out = run(capsys, "sdefect", "--star", "random:degrees=[1,1,2,2],seed=7,c=2,vars=4", "--m", "2", "--json")
     assert code == 0

@@ -125,6 +125,28 @@ def test_min_gens_stops_at_top_generator_degree():
     assert GradedIdeal(3, [], GF32003).min_gens(5) == {}
 
 
+def test_from_pieces_round_trip():
+    # Nakayama representatives of a generator-defined ideal's pieces are its min_gens
+    J = ideal("x0^2 + x1*x2", "x0*x1^2", "x0^3", "x1^3 - x2^3", "x0*x2^3")
+    top = J.top_gen_degree()
+    K = GradedIdeal.from_pieces(3, {d: J.graded_piece(d) for d in range(top + 1)}, GF32003)
+    assert K.gens == [g for _, reps in sorted(J.min_gens(top).items()) for g in reps]
+    assert len(K.gens) == 4  # x0^3 is redundant
+    assert all(K.graded_piece(d) == J.graded_piece(d) for d in range(top + 3))
+
+
+def test_from_pieces_rejects_pieces_of_no_ideal():
+    pieces = {0: Subspace.zero(1, GF32003), 1: ideal("x0").graded_piece(1), 2: ideal("x1^2").graded_piece(2)}
+    with pytest.raises(ArithmeticError):
+        GradedIdeal.from_pieces(3, pieces, GF32003)
+
+
+def test_sdefect_over_zero_ideal_counts_min_gens():
+    J = ideal("x0^2", "x0*x1", "x0^3", "x1^3 + x2^3", "x0*x2^2")
+    rep = sdefect(J, GradedIdeal(3, [], GF32003), 6)
+    assert rep.per_degree == J.min_gens_counts(6) == {2: 2, 3: 2}
+
+
 def test_contains_ideal_finds_a_later_non_member():
     J = ideal("x0", "x1^2")
     # mixed degrees; the one non-member is the second generator of degree 2

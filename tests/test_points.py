@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stardefect.gradedideal import graded_betti, ideals_equal
-from stardefect.linalg import GF32003, PrimeField
+from stardefect.gradedideal import graded_betti
+from stardefect.linalg import GF32003, PrimeField, Subspace, kernel_basis
 from stardefect.points import (
     _PointConditions,
+    evaluation_matrix,
     generic_double_hf,
     generator_count_check,
     hilbert_function_points,
@@ -28,7 +29,7 @@ from stardefect.points import (
     symbolic_power_points,
     verify_general_points_classification,
 )
-from stardefect.poly import basis_exponents, evaluate, mono_index, parse_form
+from stardefect.poly import basis_exponents, basis_size, evaluate, mono_index, parse_form
 
 
 def pts(*rows, prime=32003):
@@ -157,8 +158,13 @@ def test_symbolic_pieces_match_intersection_oracle(seed, s, m):
 
 
 def test_symbolic_power_m1_is_points_ideal():
+    # I_X comes from the order-1 conditions; the evaluation kernel is the reference,
+    # also above the built pieces, where they come from the generators
     X = random_general_points(6, 3)
-    assert ideals_equal(symbolic_power_points(X, 1), ideal_of_points(X))
+    J = symbolic_power_points(X, 1)
+    for d in range(regularity_points(X) + 3):
+        K = kernel_basis(evaluation_matrix(X, d), X.field)
+        assert J.graded_piece(d) == Subspace.from_rows(K, X.field, basis_size(3, d)), d
 
 
 def test_sdefect_points_known_small_values():
