@@ -516,6 +516,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+FIELD_HELP = "prime p with 5 <= p <= 8388593, the range of exact elimination (default 32003)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="stardefect",
@@ -525,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, with_input=True, degree_bound=True):
-        p.add_argument("--field", type=int, default=32003, help="odd prime > 3 (default 32003)")
+        p.add_argument("--field", type=int, default=32003, help=FIELD_HELP)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--json", action="store_true", help="canonical JSON on stdout")
         if degree_bound:
@@ -562,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
             "paper-tables",
         ],
     )
-    p.add_argument("--field", type=int, default=32003)
+    p.add_argument("--field", type=int, default=32003, help=FIELD_HELP)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seeds", type=int, default=1, help="number of seeds (general-points)")
     p.add_argument("--n-max", type=int, default=5)

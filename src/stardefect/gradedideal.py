@@ -334,17 +334,6 @@ class FreeModuleLayout:
                 off += basis_size(self.num_vars, j - a)
         return out
 
-    def element_vector(self, elem: ModuleElement, j: int, field: Field) -> np.ndarray:
-        v = field.zeros((self.piece_dim(j),))
-        offs = self.offsets(j)
-        for comp, (g, a) in enumerate(zip(elem, self.twists)):
-            if g is None or g.is_zero:
-                continue
-            if g.degree != j - a:
-                raise ValueError("component degree does not match the twist")
-            v[offs[comp] : offs[comp] + basis_size(self.num_vars, j - a)] = coefficient_vector(g)
-        return v
-
     def vector_to_element(self, v: np.ndarray, j: int, field: Field) -> ModuleElement:
         offs = self.offsets(j)
         out = []

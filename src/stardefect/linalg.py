@@ -6,47 +6,41 @@ numpy arrays: ``int64`` for prime fields, ``object`` (Fraction entries) for
 the rationals.  All arithmetic is exact; there is no floating point anywhere
 in the results.
 
-The prime-field elimination uses a blocked (panel) Gauss-Jordan whose
-trailing updates run as float64 BLAS matrix products.  This is exact as long
-as ``block * (p-1)**2 < 2**53``, which the field constructor enforces.  A
-naive per-pivot reference implementation is kept alongside and used both for
-the rationals and as a test oracle.
+The prime-field elimination is a blocked, left-looking Gauss-Jordan on
+integer-valued float64 arrays; ``_echelon_gfp`` and ``_reduce_up_gfp`` say
+when they reduce mod p and why every step is exact.  It needs
+PANEL*(p-1)**2 < 2**52, so the field constructor admits 5 <= p <= 8388593.
+A naive per-pivot reference implementation is kept alongside and used both
+for the rationals and as a test oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 _PANEL = 64  # pivot block width for the BLAS-backed elimination
+_SMALL_MOD = 512  # np.remainder beats the floor quotient up to this many entries
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 class PrimeField:
-    """The field GF(p) for an odd prime p.
+    """The field GF(p) for a prime 5 <= p <= 8388593.
 
-    Entries live in numpy int64 arrays, always reduced into ``[0, p)``.
+    The upper end is the largest prime with PANEL*(p-1)**2 < 2**52, which
+    keeps the float64 elimination exact.  Entries live in numpy int64
+    arrays, always reduced into ``[0, p)``.
     """
 
     def __init__(self, p: int):
-        if not _is_prime(p) or p <= 3:
-            raise ValueError(f"field characteristic must be an odd prime > 3, got {p}")
-        if _PANEL * (p - 1) ** 2 >= 2**52:
-            raise ValueError(f"prime {p} too large for the blocked exact elimination")
+        if not (p > 3 and _PANEL * (p - 1) ** 2 < 2**52 and _is_prime(p)):
+            raise ValueError(f"field characteristic must be a prime 5 <= p <= 8388593, got {p}")
         self.p = p
 
     def __repr__(self):
@@ -166,9 +160,12 @@ def _echelon_reference(M: np.ndarray, field: Field, reduced: bool = True):
 def _mod_p(X: np.ndarray, p: int) -> np.ndarray:
     """In-place exact reduction of an integer-valued float64 array into [0, p).
 
-    np.floor on x/p can be off by one at the boundary, so the quotient is
-    corrected afterwards; exact for |x| < 2**52.
+    Small arrays use ``np.remainder`` (exact on any integer-valued float64);
+    larger ones a floor quotient, 2-3x faster there, corrected by one where
+    np.floor on x/p is off at the boundary (exact for |x| < 2**53).
     """
+    if X.size <= _SMALL_MOD:
+        return np.remainder(X, p, out=X)
     q = np.floor(X * (1.0 / p))
     X -= q * p
     X[X < 0] += p
@@ -190,122 +187,124 @@ def _dot_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
+def _unit_tri_inv(N: np.ndarray, p: int) -> np.ndarray:
+    """(I + N)^-1 over GF(p) for strictly triangular N, entries in [0, p),
+    at most ``_PANEL`` rows: (I - N)(I + N^2)(I + N^4)... as N is nilpotent,
+    ceil(log2 n) squarings, each product exact as n*(p-1)**2 < 2**52."""
+    n = N.shape[0]
+    S = _mod_p(np.eye(n) - N, p)
+    P = N
+    k = 2
+    while k < n:
+        P = _mod_p(P @ P, p)
+        S = _mod_p(S + S @ P, p)
+        k *= 2
+    return S
+
+
 def _echelon_gfp(M: np.ndarray, p: int):
     """Left-looking blocked row echelon over GF(p).
 
-    Column blocks are brought up to date with BLAS float64 products (exact:
-    the field constructor bounds p so accumulated dot products stay below
-    2**53) and each block is reduced mod p a constant number of times.
+    Each block of ``_PANEL`` columns is brought up to date against earlier
+    pivot rows with BLAS products (``_dot_mod``), then eliminated pivot by
+    pivot.  A pivot reduces its column once and its scaled row once; the
+    rows below only subtract products of two entries in [0, p), so they
+    stay within PANEL*(p-1)**2 < 2**52.  The pivot row is scaled unreduced
+    when PANEL*p**3 < 2**53 (p <= 52015, so 32003) and reduced first
+    otherwise.  The inverse factor ``Linv`` that gives pivot rows their
+    values in later blocks is built only when a later block exists.
 
     Returns ``(rank, E, pivots, perm)``: E holds the echelon rows (unit
     pivots, zeros below, not reduced above), ``perm`` maps current row
     positions to original row indices.
     """
-    A = np.ascontiguousarray(M, dtype=np.float64) % p
-    m, ncols = A.shape
+    m, ncols = M.shape
     rmax = min(m, ncols)
     perm = np.arange(m)
     F = np.zeros((m, rmax))  # F[i, t]: factor of row i against pivot t
-    E = np.zeros((rmax, ncols))  # echelon rows, filled block by block
+    E = np.zeros((rmax, ncols))  # echelon rows, filled pivot by pivot
     chunks: list[tuple[int, int, np.ndarray]] = []  # (start, end, Linv)
     pivots: list[int] = []
+    scale_unreduced = _PANEL * p**3 < 2**53
     r = 0
     for c0 in range(0, ncols, _PANEL):
         c1 = min(c0 + _PANEL, ncols)
-        w = c1 - c0
-        raw = A[:, c0:c1].copy()
+        raw = _mod_p(M[perm, c0:c1].astype(np.float64), p)
         # true values of existing pivot rows in this block, chunk by chunk
-        UB = np.empty((r, w))
+        UB = E[:r, c0:c1]
         for s, e, Linv in chunks:
             Y = raw[s:e]
             if s:
                 Y = Y - _dot_mod(F[s:e, :s], UB[:s], p)
-                _mod_p(Y, p)
             UB[s:e] = _mod_p(Linv @ Y, p)
-        E[:r, c0:c1] = UB
         if r == m:
             continue
-        # current values of the active rows
+        # current values of the active rows, in (-p, p)
         cur = raw[r:]
         if r:
-            cur = cur - _dot_mod(F[r:, :r], UB, p)
-            _mod_p(cur, p)
-        # in-block elimination with lazy reduction (growth <= PANEL * p^2)
-        ma = cur.shape[0]
+            cur -= _dot_mod(F[r:, :r], UB, p)
         rr = 0
-        invs: list[float] = []
-        newpiv_local: list[int] = []
-        for c in range(w):
-            col = _mod_p(cur[rr:, c].copy(), p)
-            cur[rr:, c] = col
-            nz = np.nonzero(col)[0]
+        invs: list[int] = []
+        for c in range(c1 - c0):
+            col = _mod_p(cur[rr:, c], p)
+            nz = np.flatnonzero(col)
             if nz.size == 0:
                 continue
-            i = rr + int(nz[0])
-            if i != rr:
-                cur[[rr, i]] = cur[[i, rr]]
-                g0, g1 = r + rr, r + i
-                A[[g0, g1]] = A[[g1, g0]]
-                F[[g0, g1]] = F[[g1, g0]]
-                perm[[g0, g1]] = perm[[g1, g0]]
-            inv = float(pow(int(cur[rr, c]), p - 2, p))
-            prow = _mod_p(cur[rr, c:].copy(), p)
-            prow = _mod_p(prow * inv, p)
-            cur[rr, c:] = prow
-            f = cur[rr:, c].copy()  # column already reduced; swaps preserve that
-            f[0] = 0.0
-            cur[rr:, c + 1 :] -= np.outer(f, prow[1:])
-            cur[rr:, c] = 0.0
-            cur[rr, c] = 1.0
-            F[r + rr :, r + rr] = f
+            g = r + rr  # row position of the new pivot
+            if nz[0]:
+                i = int(nz[0])
+                cur[[rr, rr + i], c:] = cur[[rr + i, rr], c:]
+                F[[g, g + i], :g] = F[[g + i, g], :g]
+                perm[[g, g + i]] = perm[[g + i, g]]
+            inv = pow(int(col[0]), p - 2, p)
+            prow = cur[rr, c:]
+            if not scale_unreduced:
+                _mod_p(prow, p)
+            prow *= inv
+            _mod_p(prow, p)
+            E[g, c0 + c : c1] = prow
+            f = F[g + 1 :, g]
+            f[:] = col[1:]
+            cur[rr + 1 :, c + 1 :] -= f[:, None] * prow[1:]
             invs.append(inv)
-            newpiv_local.append(c)
+            pivots.append(c0 + c)
             rr += 1
-            if rr == ma:
+            if g + 1 == m:
                 break
-        if rr:
-            _mod_p(cur[:rr], p)
-            E[r : r + rr, c0:c1] = cur[:rr]
-            # inverse of the unit-lower factor block for the new pivot chunk
-            Linv = np.zeros((rr, rr))
-            for t in range(rr):
-                row = np.zeros(rr)
-                row[t] = 1.0
-                if t:
-                    row -= F[r + t, r : r + t] @ Linv[:t]
-                    row = _mod_p(row, p)
-                Linv[t] = _mod_p(row * invs[t], p)
-            chunks.append((r, r + rr, Linv))
-            pivots.extend(c0 + c for c in newpiv_local)
-            r += rr
+        if rr and c1 < ncols:
+            # pivot t = inv_t * (row t - sum_s L[t, s] * pivot s), so the
+            # pivot rows are (I + D L)^-1 D times their values at block start
+            d = np.array(invs, dtype=np.float64)
+            N = _mod_p(d[:, None] * F[r : r + rr, r : r + rr], p)
+            chunks.append((r, r + rr, _mod_p(_unit_tri_inv(N, p) * d, p)))
+        r += rr
     return r, E[:r], pivots, perm
 
 
 def _reduce_up_gfp(A: np.ndarray, pivots: list[int], p: int):
     """Backward pass turning echelon rows 0..rank-1 of A into RREF.
 
-    Rows are kept lazily unreduced between block passes; one final
-    reduction normalizes everything.  Growth stays below 2**45.
+    Blocks of ``_PANEL`` rows go bottom first.  The block rows B are reduced;
+    their pivot columns form a unit upper triangular U and U^-1 B is their
+    RREF.  The rows above subtract their pivot-column entries times it in one
+    BLAS product, growing by at most PANEL*(p-1)**2; they are reduced after
+    every block once rank*(p-1)**2 could reach 2**51, so entries stay below
+    2**52.  One final reduction normalizes everything.
     """
     rank = len(pivots)
-    t1 = rank
-    while t1 > 0:
+    piv = np.asarray(pivots)
+    for t1 in range(rank, 0, -_PANEL):
         t0 = max(0, t1 - _PANEL)
-        for t in range(t1 - 1, t0, -1):  # clear within the block, bottom pivots first
-            col = pivots[t]
-            _mod_p(A[t], p)  # row t is final within the block; normalize before use
-            f = _mod_p(A[t0:t, col].copy(), p)
-            A[t0:t] -= np.outer(f, A[t])
-            A[t0:t, col] = 0.0
-        _mod_p(A[t0:t1], p)
-        if t0 > 0:
-            block_cols = [pivots[t] for t in range(t0, t1)]
-            Fb = _mod_p(A[:t0][:, block_cols].copy(), p)
-            A[:t0] -= Fb @ A[t0:t1]
-            A[:t0][:, block_cols] = 0.0
+        cols = piv[t0:t1]
+        B = _mod_p(A[t0:t1, cols[0] :], p)  # zero left of the first pivot
+        N = B[:, cols - cols[0]]
+        np.fill_diagonal(N, 0.0)
+        B[:] = _mod_p(_unit_tri_inv(N, p) @ B, p)
+        if t0:
+            above = A[:t0, cols[0] :]
+            above -= _mod_p(A[:t0, cols], p) @ B
             if rank * (p - 1) ** 2 >= 2**51:  # keep lazy growth exact at huge ranks
-                _mod_p(A[:t0], p)
-        t1 = t0
+                _mod_p(above, p)
     _mod_p(A[:rank], p)
     return A
 
@@ -385,9 +384,7 @@ def _complement_rows(R: np.ndarray, pivots, n: int, field: Field) -> np.ndarray:
 
 def _identity(n: int, field: Field) -> np.ndarray:
     m = field.zeros((n, n))
-    one = field.of(1)
-    for i in range(n):
-        m[i, i] = one
+    np.fill_diagonal(m, field.of(1))
     return m
 
 

@@ -95,6 +95,14 @@ def run_err(capsys, *argv):
     return code, capsys.readouterr().err
 
 
+def test_field_range(capsys):
+    code, out = run(capsys, "sdefect", "--points", "random:s=4,seed=1", "--m", "2", "--field", "8388593", "--json")
+    assert code == 0 and json.loads(out)["field"] == 8388593
+    for p in ("8388617", str(10**18 + 3)):  # the next prime; a prime far too large to test by trial division
+        code, err = run_err(capsys, "verify", "power-identity", "--field", p)
+        assert code == 1 and err.startswith("error:") and "8388593" in err
+
+
 @pytest.mark.parametrize("flag", ["--points", "--lines"])
 def test_random_spec_without_size(capsys, flag):
     code, err = run_err(capsys, "sdefect", flag, "random:seed=1")

@@ -8,6 +8,7 @@ from stardefect.linalg import (
     QQ,
     Subspace,
     _echelon_reference,
+    echelon,
     kernel_basis,
     matmul_mod,
     rank,
@@ -100,10 +101,10 @@ def test_ambient_mismatch_raises():
 
 
 def test_bad_prime_rejected():
-    with pytest.raises(ValueError):
-        PrimeField(15)
-    with pytest.raises(ValueError):
-        PrimeField(3)
+    assert PrimeField(5).p == 5 and PrimeField(8388593).p == 8388593
+    for p in (15, 3, 4, 8388617):  # 8388617 is the prime after 8388593
+        with pytest.raises(ValueError, match="5 <= p <= 8388593"):
+            PrimeField(p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,3 +257,32 @@ def test_conditions_cut_out_the_subspace():
     S = Subspace.from_rows(QQ.matrix([[1, 2, 3], [2, 4, 7]]), QQ)
     C = S.conditions()
     assert C.shape == (1, 3) and not any(x != 0 for x in (C @ S.basis.T).flat)
+
+
+def _blocked_cases(rng, p):
+    """Matrices that reach each path of the blocked elimination."""
+    def low_rank(rows, cols, r):
+        return random_matrix(rng, rows, r, p) @ random_matrix(rng, r, cols, p) % p
+
+    tall = low_rank(600, 70, 50)  # columns of more than 512 entries: floor-quotient reduction
+    wide = low_rank(150, 210, 120)  # four column blocks, pivots run out in the third
+    wide[:, 70:80] = 0
+    wide[:, 140:160] = 3 * wide[:, 5:25] % p
+    exhausted = low_rank(100, 210, 90)  # no pivot after the second block
+    full_rows = random_matrix(rng, 40, 200, p)  # every row a pivot in the first block
+    single = low_rank(30, 50, 20)  # one column block: no inverse factor built
+    return [tall, wide, exhausted, full_rows, single]
+
+
+@pytest.mark.parametrize("p", [5, 32003, 8388593])
+def test_blocked_paths_match_reference(p):
+    # at 8388593, the largest admitted prime, a pivot row is reduced before it
+    # is scaled; the unreduced rows match too, as both eliminations take the
+    # first nonzero row at or below the pivot position and swap it up
+    field = PrimeField(p)
+    for M in _blocked_cases(np.random.default_rng(p), p):
+        for reduced in (True, False):
+            r0, R0, piv0 = _echelon_reference(M, field, reduced=reduced)
+            r, R, piv = echelon(M, field, reduced=reduced)
+            assert (r, piv) == (r0, piv0) and np.array_equal(R[:r], R0[:r0])
+        assert rank(M, field) == r0
