@@ -15,6 +15,7 @@ from .gradedideal import (
     check_alternating_sum,
     graded_betti,
     ideals_equal,
+    multiples,
     sdefect,
 )
 from .linalg import GF32003, PrimeField, QQ, RationalField, Subspace, kernel_basis, rank, rref
@@ -49,7 +50,6 @@ from .points import (
     sdefect_points,
     star_points_from_lines,
     symbolic_power_points,
-    verify_general_points_classification,
     verify_power_identity,
 )
 from .poly import HomogPoly, Monomial, ParseError, monomial_basis, parse_form, substitute

@@ -281,9 +281,8 @@ def cmd_hilbert(args, field) -> tuple[int, dict]:
     m = parse_power(args.m)
     if args.points or args.lines:
         X = load_point_input(args, field)
-        reg = regularity_points(X)
-        top = args.max_degree if args.max_degree is not None else m * reg + 1
-        J = symbolic_power_points(X, m, max(top, m * reg))
+        J = symbolic_power_points(X, m)
+        top = args.max_degree if args.max_degree is not None else m * regularity_points(X) + 1
         report["input"] = {"points": _points_json(X), "seed": X.seed}
     else:
         cfg = load_star(args.star, args.c, field, args.seed)
@@ -308,7 +307,7 @@ def cmd_betti(args, field) -> tuple[int, dict]:
     else:
         cfg = load_star(args.star, args.c, field, args.seed)
         J = symbolic_power_star_general(cfg, m)
-        D = args.degree_bound if args.degree_bound is not None else 2 * cfg.total_degree
+        D = args.degree_bound if args.degree_bound is not None else m * cfg.total_degree
         report["input"] = {"vars": cfg.num_vars, "c": cfg.c, "degrees": cfg.degrees}
     table = graded_betti(J, 2, D)
     report["m"] = m
@@ -327,38 +326,42 @@ def monomial_ideal_to_graded(I, field):
     return GradedIdeal(I.num_vars, gens, field)
 
 
+def record(checks: list[dict], name: str, ok, **info):
+    """Append one named check, its verdict and its details to a suite's list."""
+    checks.append({"check": name, "ok": bool(ok), **info})
+
+
 DESK_SCALE_COLUMNS = 3100  # largest graded-piece width the dense engine takes on
 
 
 def verify_monomial_grid(n_max: int, m_max: int, field: PrimeField) -> dict:
     checks = []
-
-    def record(name, ok, **info):
-        checks.append({"check": name, "ok": bool(ok), **info})
-
     for n in range(1, n_max + 1):
         for c in range(1, n + 1):
             for m in range(1, m_max + 1):
                 record(
+                    checks,
                     "support-decomposition",
                     verify_support_decomposition(n, c, m),
                     n=n, c=c, m=m,
                 )
                 got = sdefect_star_monomial(n, c, m)
                 record(
+                    checks,
                     "sdefect-one-iff-c2m2",
                     (got == 1) == (c == 2 and m == 2),
                     n=n, c=c, m=m, sdefect=got,
                 )
             if c >= 2:
-                record("square-decomposition", verify_square_decomposition(n, c), n=n, c=c)
+                record(checks, "square-decomposition", verify_square_decomposition(n, c), n=n, c=c)
                 record(
+                    checks,
                     "square-sdefect-binomial",
                     sdefect_star_monomial(n, c, 2) == comb(n + 1, c - 2),
                     n=n, c=c,
                 )
             if c >= 3:
-                record("cube-decomposition", verify_cube_decomposition(n, c), n=n, c=c)
+                record(checks, "cube-decomposition", verify_cube_decomposition(n, c), n=n, c=c)
     # combinatorial vs graded-linear-algebra sdefect, within dense desk scale
     for n in range(1, n_max + 1):
         for c in range(1, n + 1):
@@ -367,7 +370,7 @@ def verify_monomial_grid(n_max: int, m_max: int, field: PrimeField) -> dict:
                 ipow = star_monomial(n, c).power(m)
                 D = max(sum(g) for g in isym.gens + ipow.gens) + 1
                 if basis_size(n + 1, D) > DESK_SCALE_COLUMNS:
-                    record("oracle-equivalence-skipped", True, n=n, c=c, m=m, reason="piece width beyond dense desk scale")
+                    record(checks, "oracle-equivalence-skipped", True, n=n, c=c, m=m, reason="piece width beyond dense desk scale")
                     continue
                 rep = lab_sdefect(
                     monomial_ideal_to_graded(isym, field),
@@ -375,6 +378,7 @@ def verify_monomial_grid(n_max: int, m_max: int, field: PrimeField) -> dict:
                     D,
                 )
                 record(
+                    checks,
                     "oracle-equivalence",
                     rep.total == sdefect_star_monomial(n, c, m),
                     n=n, c=c, m=m, lab=rep.total,
@@ -393,37 +397,30 @@ def verify_general_points(s_max: int, seeds: list[int], field: PrimeField) -> di
 
 def verify_star_decompositions(field: PrimeField, seed: int) -> dict:
     checks = []
-
-    def record(name, ok, **info):
-        checks.append({"check": name, "ok": bool(ok), **info})
-
     # monomial specializations agree with the combinatorial verifiers
     coords3 = [HomogPoly.variable(3, j, field) for j in range(3)]
     cfg = StarConfig.build(3, 2, coords3)
-    record("square-monomial-specialization", verify_square_decomposition_general(cfg), n=2, c=2)
+    record(checks, "square-monomial-specialization", verify_square_decomposition_general(cfg), n=2, c=2)
     coords4 = [HomogPoly.variable(4, j, field) for j in range(4)]
     record(
+        checks,
         "cube-monomial-specialization",
         verify_cube_decomposition_general(StarConfig.build(4, 3, coords4)),
         n=3, c=3,
     )
     # generic samples
     cfg_lines = random_star_config(4, 2, [1, 1, 1, 1], seed, field.p)
-    record("square-4-lines-P3", verify_square_decomposition_general(cfg_lines), degrees=[1, 1, 1, 1])
+    record(checks, "square-4-lines-P3", verify_square_decomposition_general(cfg_lines), degrees=[1, 1, 1, 1])
     cfg_quad = random_star_config(4, 3, [2, 2, 2, 2, 2], seed, field.p)
-    record("square-5-quadrics-P3", verify_square_decomposition_general(cfg_quad), degrees=[2] * 5)
-    record("cube-5-quadrics-P3", verify_cube_decomposition_general(cfg_quad), degrees=[2] * 5)
+    record(checks, "square-5-quadrics-P3", verify_square_decomposition_general(cfg_quad), degrees=[2] * 5)
+    record(checks, "cube-5-quadrics-P3", verify_cube_decomposition_general(cfg_quad), degrees=[2] * 5)
     cfg_mixed = random_star_config(3, 2, [1, 1, 2, 2], seed, field.p)
-    record("square-mixed-P2", verify_square_decomposition_general(cfg_mixed), degrees=[1, 1, 2, 2])
+    record(checks, "square-mixed-P2", verify_square_decomposition_general(cfg_mixed), degrees=[1, 1, 2, 2])
     return {"ok": all(c["ok"] for c in checks), "checks": checks}
 
 
 def verify_resolution_suite(field: PrimeField, seed: int) -> dict:
     checks = []
-
-    def record(name, ok, **info):
-        checks.append({"check": name, "ok": bool(ok), **info})
-
     patterns = [
         (3, [1, 1, 1]),
         (3, [1, 1, 2, 2]),
@@ -434,9 +431,9 @@ def verify_resolution_suite(field: PrimeField, seed: int) -> dict:
     for nv, degrees in patterns:
         cfg = random_star_config(nv, 2, degrees, seed, field.p)
         res = verify_resolution_theorems(cfg)
-        record("square-betti", res["square_ok"], vars=nv, degrees=degrees)
-        record("symbolic-square-betti", res["symbolic_ok"], vars=nv, degrees=degrees)
-        record("colon-identity", colon_lemma_check(cfg), vars=nv, degrees=degrees)
+        record(checks, "square-betti", res["square_ok"], vars=nv, degrees=degrees)
+        record(checks, "symbolic-square-betti", res["symbolic_ok"], vars=nv, degrees=degrees)
+        record(checks, "colon-identity", colon_lemma_check(cfg), vars=nv, degrees=degrees)
     # linear specialization of the closed form
     for s in (4, 5):
         lines = random_general_lines(s, seed, field.p)
@@ -448,7 +445,7 @@ def verify_resolution_suite(field: PrimeField, seed: int) -> dict:
             and sym.row(0) == {s: 1, 2 * s - 2: s}
             and sym.row(1) == {2 * s - 1: s}
         )
-        record("linear-specialization", ok, s=s)
+        record(checks, "linear-specialization", ok, s=s)
     return {"ok": all(c["ok"] for c in checks), "checks": checks}
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .linalg import Field, Subspace, echelon
 from .poly import (
     HomogPoly,
+    basis_exponents,
     basis_size,
     coefficient_vector,
     poly_from_vector,
@@ -126,21 +127,6 @@ class GradedIdeal:
 
     # -- graded pieces ------------------------------------------------------
 
-    def _gen_rows(self, d: int, only_degree: int | None = None) -> np.ndarray:
-        """Rows spanning the degree-d contributions of the generators."""
-        nv = self.num_vars
-        N = basis_size(nv, d)
-        blocks = []
-        for g in self.gens:
-            if g.degree > d or (only_degree is not None and g.degree != only_degree):
-                continue
-            rows = self.field.zeros((basis_size(nv, d - g.degree), N))
-            _place_multiples(rows, g, d - g.degree)
-            blocks.append(rows)
-        if not blocks:
-            return self.field.zeros((0, N))
-        return np.concatenate(blocks, axis=0)
-
     def graded_piece(self, d: int) -> Subspace:
         """Canonical subspace of R_d spanned by the ideal, of dimension dim J_d."""
         if d < 0:
@@ -150,9 +136,10 @@ class GradedIdeal:
         if (d - 1) in self._pieces:
             ring = FreeModuleLayout(self.num_vars, (0,))
             shifted = ring.shift_rows(self._pieces[d - 1].basis, d - 1, self.field)
-            stacked = np.concatenate([shifted, self._gen_rows(d, only_degree=d)], axis=0)
+            new = [g for g in self.gens if g.degree == d]
+            stacked = np.concatenate([shifted, multiples(self.num_vars, new, d, self.field)], axis=0)
         else:
-            stacked = self._gen_rows(d)
+            stacked = multiples(self.num_vars, self.gens, d, self.field)
         piece = Subspace.from_rows(stacked, self.field, basis_size(self.num_vars, d))
         self._pieces[d] = piece
         return piece
@@ -212,15 +199,31 @@ class GradedIdeal:
         return {d: len(v) for d, v in self.min_gens(degree_bound).items()}
 
 
-def _place_multiples(out: np.ndarray, g: HomogPoly, k: int, offset: int = 0):
-    """Write basis(k)[i] * g into row i of out, columns shifted by offset.
+def multiples(num_vars: int, forms: list[HomogPoly], d: int, field: Field) -> np.ndarray:
+    """Rows basis(d - deg g) * g for each form g of degree <= d, stacked in order.
 
-    The only place where multiples of a form become coefficient rows: one
+    The one place where products of forms become coefficient rows of R_d.
+    """
+    forms = [g for g in forms if g.degree <= d]
+    sizes = [basis_size(num_vars, d - g.degree) for g in forms]
+    out = field.zeros((sum(sizes), basis_size(num_vars, d)))
+    start = 0
+    for g, n in zip(forms, sizes):
+        coeffs = np.array(list(g.terms.values()), dtype=out.dtype)
+        _place_multiples(out[start : start + n], num_vars, list(g.terms), coeffs, d - g.degree)
+        start += n
+    return out
+
+
+def _place_multiples(out: np.ndarray, num_vars: int, exps, coeffs: np.ndarray, k: int, offset: int = 0):
+    """Write basis(k)[i] * (sum_t coeffs[t] x^exps[t]) into row i of out.
+
+    ``exps`` are the exponent rows of one degree; the products land in the
+    columns of their degree's basis, shifted by offset.  One
     ``product_positions`` call, one fancy-index assignment.
     """
-    pos = product_positions(g.num_vars, k, list(g.terms))
-    rows = np.arange(pos.shape[0])[:, None]
-    out[rows, offset + pos] = np.array(list(g.terms.values()), dtype=out.dtype)
+    pos = product_positions(num_vars, k, exps)
+    out[np.arange(pos.shape[0])[:, None], offset + pos] = coeffs
 
 
 def _complete_in_subspace(piece: Subspace, wrows: np.ndarray, field: Field) -> list[int]:
@@ -312,9 +315,6 @@ def sdefect(isym: GradedIdeal, ipow: GradedIdeal, degree_bound: int, m: int = 0)
 # free modules and resolutions
 # ---------------------------------------------------------------------------
 
-ModuleElement = tuple[HomogPoly, ...]  # one (possibly zero) form per component
-
-
 @dataclass(frozen=True)
 class FreeModuleLayout:
     """Graded pieces of a twisted free module ⊕_i R(-a_i) as index blocks."""
@@ -334,17 +334,6 @@ class FreeModuleLayout:
                 off += basis_size(self.num_vars, j - a)
         return out
 
-    def vector_to_element(self, v: np.ndarray, j: int, field: Field) -> ModuleElement:
-        offs = self.offsets(j)
-        out = []
-        for comp, a in enumerate(self.twists):
-            if j >= a:
-                n = basis_size(self.num_vars, j - a)
-                out.append(poly_from_vector(v[offs[comp] : offs[comp] + n], self.num_vars, j - a, field))
-            else:
-                out.append(HomogPoly.zero(self.num_vars, 0, field))
-        return tuple(out)
-
     def shift_rows(self, rows: np.ndarray, j_from: int, field: Field) -> np.ndarray:
         """Multiply elements of degree j_from by every variable."""
         nv = self.num_vars
@@ -362,27 +351,30 @@ class FreeModuleLayout:
                 out[v * k : (v + 1) * k, tgt] = block
         return out
 
-    def map_matrix(self, images: list[ModuleElement], target: "FreeModuleLayout", j: int, field: Field) -> np.ndarray:
+    def map_matrix(self, images: list[np.ndarray], target: "FreeModuleLayout", j: int, field: Field) -> np.ndarray:
         """Matrix of the map sending generator k to images[k], in degree j.
 
+        images[k] is a coefficient row of the target piece in degree deg_k.
         Columns are indexed by (generator, monomial of degree j - deg_k)
         pairs, the order of :meth:`piece_dim`; rows by the target piece.
         """
-        tgt_dim = target.piece_dim(j)
-        cols = []
-        tgt_offs = target.offsets(j)
-        for a, elem in zip(self.twists, images):
+        nv = self.num_vars
+        out = field.zeros((self.piece_dim(j), target.piece_dim(j)))
+        start = 0
+        for a, image in zip(self.twists, images):
             if j < a:
                 continue
-            deg_mono = j - a
-            block = field.zeros((basis_size(self.num_vars, deg_mono), tgt_dim))
-            for comp, g in enumerate(elem):
-                if g is not None and not g.is_zero:
-                    _place_multiples(block, g, deg_mono, tgt_offs[comp])
-            cols.append(block)
-        if not cols:
-            return field.zeros((tgt_dim, 0))
-        return np.concatenate(cols, axis=0).T.copy()
+            n = basis_size(nv, j - a)
+            for b, off_a, off_j in zip(target.twists, target.offsets(a), target.offsets(j)):
+                if a < b:
+                    continue
+                comp = image[off_a : off_a + basis_size(nv, a - b)]
+                nz = np.flatnonzero(comp)
+                if nz.size:
+                    exps = basis_exponents(nv, a - b)[nz]
+                    _place_multiples(out[start : start + n], nv, exps, comp[nz], j - a, off_j)
+            start += n
+        return out.T.copy()
 
 
 def graded_betti(J: GradedIdeal, homological_bound: int, degree_bound: int) -> BettiTable:
@@ -408,14 +400,14 @@ def graded_betti(J: GradedIdeal, homological_bound: int, degree_bound: int) -> B
 
     f0 = FreeModuleLayout(nv, tuple(g.degree for g in gens))
     ring = FreeModuleLayout(nv, (0,))
-    images0 = [(g,) for g in gens]
+    images0 = [coefficient_vector(g) for g in gens]
     syz_reps, beta1 = _module_min_gens_of_kernel(f0, images0, ring, degree_bound, field)
     entries.update({(1, j): c for j, c in beta1.items()})
     if homological_bound == 1 or not syz_reps:
         return BettiTable.from_dict(entries)
 
     f1 = FreeModuleLayout(nv, tuple(j for j, _ in syz_reps))
-    images1 = [elem for _, elem in syz_reps]
+    images1 = [row for _, row in syz_reps]
     _, beta2 = _module_min_gens_of_kernel(f1, images1, f0, degree_bound, field)
     entries.update({(2, j): c for j, c in beta2.items()})
     return BettiTable.from_dict(entries)
@@ -423,17 +415,17 @@ def graded_betti(J: GradedIdeal, homological_bound: int, degree_bound: int) -> B
 
 def _module_min_gens_of_kernel(
     source: FreeModuleLayout,
-    images: list[ModuleElement],
+    images: list[np.ndarray],
     target: FreeModuleLayout,
     degree_bound: int,
     field: Field,
-) -> tuple[list[tuple[int, ModuleElement]], dict[int, int]]:
+) -> tuple[list[tuple[int, np.ndarray]], dict[int, int]]:
     """Nakayama minimal generators of ker(source -> target), degree by degree.
 
-    Returns the chosen generator representatives as (degree, element) pairs
-    together with the per-degree counts.
+    Returns the chosen generator representatives as (degree, basis row of
+    the source piece) pairs together with the per-degree counts.
     """
-    reps: list[tuple[int, ModuleElement]] = []
+    reps: list[tuple[int, np.ndarray]] = []
     counts: dict[int, int] = {}
 
     def kernel_at(j: int) -> Subspace:
@@ -442,7 +434,7 @@ def _module_min_gens_of_kernel(
     degrees = range(min(source.twists, default=0), degree_bound + 1)
     for j, piece, kept in _nakayama(source, kernel_at, degrees, field):
         counts[j] = len(kept)
-        reps.extend((j, source.vector_to_element(piece.basis[q], j, field)) for q in kept)
+        reps.extend((j, piece.basis[q]) for q in kept)
     return reps, counts
 
 

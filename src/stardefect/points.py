@@ -24,7 +24,7 @@ from math import comb
 
 import numpy as np
 
-from .gradedideal import GradedIdeal, SdefectReport, sdefect as lab_sdefect
+from .gradedideal import GradedIdeal, SdefectReport, multiples, sdefect as lab_sdefect
 from .linalg import PrimeField, Subspace, kernel_basis, rank
 from .poly import (
     HomogPoly,
@@ -164,15 +164,13 @@ def points_profile(X: PointSet) -> PointsProfile:
 # interpolation ideals and symbolic powers
 # ---------------------------------------------------------------------------
 
-def ideal_of_points(X: PointSet, degree_bound: int | None = None) -> GradedIdeal:
-    """The interpolation ideal I_X = I_X^(1), with pieces and generators up to the bound.
+def ideal_of_points(X: PointSet) -> GradedIdeal:
+    """The interpolation ideal I_X = I_X^(1), with pieces and generators through reg(I_X).
 
     The order-1 condition row of a point holds the value of each monomial
-    there, its evaluation-matrix row.  The degree bound, when given, must be
-    at least reg(I_X) (the generator degree ceiling for plane points); the
-    default is exactly that.
+    there, its evaluation-matrix row.
     """
-    return symbolic_power_points(X, 1, degree_bound)
+    return symbolic_power_points(X, 1)
 
 
 def _adapted_frame(point, field: PrimeField) -> np.ndarray:
@@ -250,25 +248,19 @@ def symbolic_power_pieces(X: PointSet, m: int, degree_bound: int) -> dict[int, S
     return pieces
 
 
-def symbolic_power_points(X: PointSet, m: int, degree_bound: int | None = None) -> GradedIdeal:
+def symbolic_power_points(X: PointSet, m: int) -> GradedIdeal:
     """I_X^(m) as a graded ideal, with certified-complete generators.
 
-    The degree bound must be at least m * reg(I_X); beyond that degree the
+    Its pieces are built through m * reg(I_X); beyond that degree the
     symbolic and ordinary powers agree and the module of new generators is
     exhausted, so the Nakayama generators of its pieces
-    (:meth:`GradedIdeal.from_pieces`) generate the whole symbolic power.
+    (:meth:`GradedIdeal.from_pieces`) generate the whole symbolic power, and
+    higher pieces follow from them.
     """
     if m < 1:
         raise ValueError("symbolic power needs m >= 1")
-    reg = regularity_points(X)
-    certified = m * reg
-    if degree_bound is None:
-        degree_bound = certified
-    if degree_bound < certified:
-        raise ValueError(
-            f"degree bound {degree_bound} is below the certified bound {certified} = m*reg"
-        )
-    return GradedIdeal.from_pieces(3, symbolic_power_pieces(X, m, degree_bound), X.field)
+    certified = m * regularity_points(X)
+    return GradedIdeal.from_pieces(3, symbolic_power_pieces(X, m, certified), X.field)
 
 
 def symbolic_piece_by_intersection(X: PointSet, m: int, d: int) -> Subspace:
@@ -280,33 +272,26 @@ def symbolic_piece_by_intersection(X: PointSet, m: int, d: int) -> Subspace:
     out: Subspace | None = None
     for pt in X.points:
         l1, l2 = point_linear_forms(pt, field)
-        rows = []
-        for a in range(m + 1):
-            f = multiply(power(l1, a), power(l2, m - a))
-            carrier = GradedIdeal(3, [f], field)
-            rows.append(carrier._gen_rows(d))
-        span = Subspace.from_rows(np.concatenate(rows, axis=0), field, N)
+        forms = [multiply(power(l1, a), power(l2, m - a)) for a in range(m + 1)]
+        span = Subspace.from_rows(multiples(3, forms, d, field), field, N)
         out = span if out is None else out.intersect(span)
     return out
 
 
 def power_ideal(I: GradedIdeal, m: int) -> GradedIdeal:
-    """I^m generated by all m-fold products of the given generators."""
+    """I^m generated by all m-fold products of the given generators.
+
+    The products come in ``combinations_with_replacement`` order of the
+    generators; each multiplies its (m-1)-fold prefix once, starting from
+    the empty product 1.
+    """
     if m < 0:
         raise ValueError("negative power")
-    field = I.field
-    if m == 0:
-        one = HomogPoly(I.num_vars, 0, {(0,) * I.num_vars: field.of(1)}, field)
-        return GradedIdeal(I.num_vars, [one], field)
-    from itertools import combinations_with_replacement
-
-    gens = []
-    for combo in combinations_with_replacement(I.gens, m):
-        f = combo[0]
-        for g in combo[1:]:
-            f = multiply(f, g)
-        gens.append(f)
-    return GradedIdeal(I.num_vars, gens, field)
+    one = HomogPoly(I.num_vars, 0, {(0,) * I.num_vars: I.field.of(1)}, I.field)
+    level = [(0, one)]  # (index of the last factor, product)
+    for _ in range(m):
+        level = [(i, multiply(f, I.gens[i])) for last, f in level for i in range(last, len(I.gens))]
+    return GradedIdeal(I.num_vars, [f for _, f in level], I.field)
 
 
 def sdefect_points(X: PointSet, m: int) -> SdefectReport:
@@ -496,16 +481,6 @@ def sdefect2_fits_classification(s: int, total: int) -> bool:
     if s in (3, 5, 7, 8):
         return total == 1
     return total >= 3 if s in (6, 9) else total > 1
-
-
-def verify_general_points_classification(s_max: int, seed: int = 1, prime: int = 32003) -> list[dict]:
-    """Computed sdefect(I_X, 2) classes for s = 1..s_max vs the known split."""
-    out = []
-    for s in range(1, s_max + 1):
-        X = random_general_points(s, seed, prime)
-        total = sdefect_points(X, 2).total
-        out.append({"s": s, "sdefect2": total, "ok": sdefect2_fits_classification(s, total), "seed": X.seed})
-    return out
 
 
 def generator_count_check(X: PointSet) -> bool:

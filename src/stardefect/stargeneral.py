@@ -25,15 +25,15 @@ already has nv forms), and D.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from .gradedideal import BettiTable, GradedIdeal, graded_betti, ideals_equal
+from .gradedideal import BettiTable, GradedIdeal, graded_betti, ideals_equal, multiples
 from .linalg import Field, PrimeField, Subspace, matmul_mod, rank
 from .monomial import uniform_star, uniform_symbolic_power
-from .points import RETRY_CAP, splitmix64
+from .points import RETRY_CAP, power_ideal, splitmix64
 from .poly import HomogPoly, basis_size, multiply, poly_from_vector, substitute
 
 
@@ -104,7 +104,7 @@ class StarConfig:
                     for _ in range(extra):
                         vec = np.array([self.field.of(next(stream)) for _ in range(nv)], dtype=object)
                         lins.append(poly_from_vector(vec, nv, 1, self.field))
-                rows = GradedIdeal(nv, chosen + lins, self.field)._gen_rows(D)
+                rows = multiples(nv, chosen + lins, D, self.field)
                 if rank(rows, self.field) == basis_size(nv, D):
                     break
             else:
@@ -174,7 +174,7 @@ def verify_square_decomposition_general(cfg: StarConfig) -> bool:
     ic = star_ideal(cfg)
     rhs = GradedIdeal(
         cfg.num_vars,
-        star_ideal(cfg, cfg.c - 1).gens + _product_gens(ic, ic),
+        star_ideal(cfg, cfg.c - 1).gens + power_ideal(ic, 2).gens,
         cfg.field,
     )
     return ideals_equal(lhs, rhs)
@@ -189,24 +189,11 @@ def verify_cube_decomposition_general(cfg: StarConfig) -> bool:
     icm1 = star_ideal(cfg, cfg.c - 1)
     gens = (
         star_ideal(cfg, cfg.c - 2).gens
-        + _product_gens(icm1, ic)
-        + _triple_product_gens(ic)
+        + [multiply(f, g) for f in icm1.gens for g in ic.gens]
+        + power_ideal(ic, 3).gens
     )
     rhs = GradedIdeal(cfg.num_vars, gens, cfg.field)
     return ideals_equal(lhs, rhs)
-
-
-def _product_gens(a: GradedIdeal, b: GradedIdeal) -> list[HomogPoly]:
-    if a is b:
-        return [multiply(f, g) for f, g in combinations_with_replacement(a.gens, 2)]
-    return [multiply(f, g) for f in a.gens for g in b.gens]
-
-
-def _triple_product_gens(a: GradedIdeal) -> list[HomogPoly]:
-    return [
-        multiply(multiply(f, g), h)
-        for f, g, h in combinations_with_replacement(a.gens, 3)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +204,7 @@ def colon_by_form_piece(J: GradedIdeal, F: HomogPoly, t: int) -> Subspace:
     """Degree-t piece of (J : F) = {g : g F in J}, via a solvability kernel."""
     field = J.field
     nv = J.num_vars
-    carrier = GradedIdeal(nv, [F], field)
-    M = carrier._gen_rows(t + F.degree)  # rows: (mono * F) for mono in basis(t)
+    M = multiples(nv, [F], t + F.degree, field)  # rows: (mono * F) for mono in basis(t)
     target = J.graded_piece(t + F.degree)
     cond = target.conditions()
     if cond.shape[0] == 0:
@@ -234,15 +220,15 @@ def colon_lemma_check(cfg: StarConfig) -> bool:
     computed by subspaces.  Part (i) is checked by exact mutual containment:
     generators of I_{3,F} multiply into I^2 (finite membership tests), and
     degree-wise the colon pieces match the I_{3,F} pieces through one degree
-    past every generator of either side.
+    past every generator of either side.  Each colon piece serves both parts.
     """
     if cfg.c != 2:
         raise ValueError("the colon identity is a c = 2 statement")
     if cfg.s < 3:
         raise ValueError("need at least three forms")
     field = cfg.field
-    ic = star_ideal(cfg)
-    i2 = GradedIdeal(cfg.num_vars, _product_gens(ic, ic), field)
+    nv = cfg.num_vars
+    i2 = power_ideal(star_ideal(cfg), 2)
     i3 = star_ideal(cfg, 3)
     F = substitute((1,) * cfg.s, cfg.forms)
     d = F.degree
@@ -251,23 +237,20 @@ def colon_lemma_check(cfg: StarConfig) -> bool:
     for g in i3.gens:
         if not i2.member(multiply(g, F)):
             return False
-    # (i) reverse: colon pieces inside I_{3,F}, through max generator degree + 1
+    # (i) reverse, colon pieces inside I_{3,F}, through max generator degree + 1;
+    # (ii) I^2 ∩ <F> = F * [I^2 : F] in degree t + d
     bound = max(g.degree for g in i3.gens) + 1
     for t in range(bound + 1):
         colon_t = colon_by_form_piece(i2, F, t)
         if colon_t != i3.graded_piece(t):
             return False
-    # (ii) I^2 ∩ <F> = F * [I^2 : F] degree by degree
-    f_ideal = GradedIdeal(cfg.num_vars, [F], field)
-    for t in range(d, d + bound + 1):
-        inter = i2.graded_piece(t).intersect(f_ideal.graded_piece(t))
-        colon_piece = colon_by_form_piece(i2, F, t - d)
-        M = f_ideal._gen_rows(t)  # basis(t-d) * F rows
-        if colon_piece.dim:
-            rows = matmul_mod(colon_piece.basis, M, field)
-            prod = Subspace.from_rows(rows, field, basis_size(cfg.num_vars, t))
+        M = multiples(nv, [F], t + d, field)  # basis(t) * F rows
+        N = basis_size(nv, t + d)
+        inter = i2.graded_piece(t + d).intersect(Subspace.from_rows(M, field, N))
+        if colon_t.dim:
+            prod = Subspace.from_rows(matmul_mod(colon_t.basis, M, field), field, N)
         else:
-            prod = Subspace.zero(basis_size(cfg.num_vars, t), field)
+            prod = Subspace.zero(N, field)
         if inter != prod:
             return False
     return True
@@ -319,8 +302,7 @@ def verify_resolution_theorems(cfg: StarConfig) -> dict:
     degrees = cfg.degrees
     d = cfg.total_degree
     bound_sq = 2 * d
-    ic = star_ideal(cfg)
-    i2 = GradedIdeal(cfg.num_vars, _product_gens(ic, ic), cfg.field)
+    i2 = power_ideal(star_ideal(cfg), 2)
     sq_table = graded_betti(i2, 2, bound_sq)
     sq_expected = predicted_square_betti(degrees)
     sym2 = symbolic_power_star_general(cfg, 2)

@@ -75,6 +75,39 @@ def test_star_config_file(tmp_path, capsys):
     assert {(e["i"], e["j"]): e["rank"] for e in rep["betti"]} == {(0, 2): 3, (1, 3): 2}
 
 
+def betti_counts(rep) -> dict[int, dict[int, int]]:
+    out: dict[int, dict[int, int]] = {}
+    for e in rep["betti"]:
+        out.setdefault(e["i"], {})[e["j"]] = e["rank"]
+    return out
+
+
+def test_betti_star_default_bound_reaches_top_syzygy(capsys):
+    # Hilbert-Burch needs 5 syzygies of the 6 generators; one in degree 7
+    # lies above the old default bound 2 * sum(deg F) = 6
+    code, out = run(capsys, "betti", "--star", "random:degrees=[1,1,1],seed=7,c=2", "--m", "3", "--json")
+    assert code == 0
+    rep = json.loads(out)
+    table = betti_counts(rep)
+    assert rep["degree_bound"] == 9
+    assert sum(table[1].values()) == 5 and table[1][7] == 3
+
+
+@pytest.mark.parametrize("degrees", [[1, 1, 1], [1, 1, 2]])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_betti_star_default_table_is_hilbert_burch(capsys, degrees, m):
+    # I^(m) of a codimension-two star is perfect of codimension two: its
+    # table has #beta_1 = #beta_0 - 1 and no beta_2, within m * sum(deg F)
+    star = f"random:degrees=[{','.join(map(str, degrees))}],seed=7,c=2"
+    code, out = run(capsys, "betti", "--star", star, "--m", str(m), "--json")
+    assert code == 0
+    rep = json.loads(out)
+    table = betti_counts(rep)
+    assert rep["degree_bound"] == m * sum(degrees)
+    assert set(table) == {0, 1}
+    assert sum(table[1].values()) == sum(table[0].values()) - 1
+
+
 def test_bad_input_exit_code(capsys, tmp_path):
     f = tmp_path / "bad.pts"
     f.write_text("1:2\n")

@@ -286,3 +286,17 @@ def test_blocked_paths_match_reference(p):
             r, R, piv = echelon(M, field, reduced=reduced)
             assert (r, piv) == (r0, piv0) and np.array_equal(R[:r], R0[:r0])
         assert rank(M, field) == r0
+
+
+def test_back_pass_guard_keeps_high_ranks_exact():
+    # [U | C] with U unit upper triangular, p - 1 above the diagonal, and C
+    # all p - 1 drives every block of the back pass to its worst-case growth;
+    # at rank 320 the rows above stay exact only through the reductions that
+    # _reduce_up_gfp makes once rank * (p - 1)**2 reaches 2**51
+    p, n = 8388593, 320
+    field = PrimeField(p)
+    U = np.triu(np.full((n, n), p - 1, dtype=np.int64), 1) + np.eye(n, dtype=np.int64)
+    M = np.concatenate([U, np.full((n, 8), p - 1, dtype=np.int64)], axis=1)
+    r0, R0, piv0 = _echelon_reference(M, field, reduced=True)
+    r, R, piv = rref(M, field)
+    assert (r, piv) == (r0, piv0) and np.array_equal(R[:r], R0[:r0])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stardefect.cli import verify_general_points
 from stardefect.gradedideal import graded_betti
 from stardefect.linalg import GF32003, PrimeField, Subspace, kernel_basis
 from stardefect.points import (
@@ -27,7 +28,6 @@ from stardefect.points import (
     symbolic_piece_by_intersection,
     symbolic_power_pieces,
     symbolic_power_points,
-    verify_general_points_classification,
 )
 from stardefect.poly import basis_exponents, basis_size, evaluate, mono_index, parse_form
 
@@ -180,9 +180,9 @@ def test_collinear_points_zero_defect():
 
 
 def test_classification_small():
-    rows = verify_general_points_classification(6, seed=1)
-    assert all(r["ok"] for r in rows)
-    assert [r["sdefect2"] for r in rows[:6]] == [0, 0, 1, 0, 1, 3]
+    out = verify_general_points(6, [1], GF32003)
+    assert out["ok"] and all(r["ok"] for r in out["rows"])
+    assert [r["sdefect2"][0] for r in out["rows"]] == [0, 0, 1, 0, 1, 3]
 
 
 def test_sdefect_invariant_under_coordinate_change():
