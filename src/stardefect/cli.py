@@ -261,7 +261,7 @@ def cmd_sdefect(args, field) -> tuple[int, dict]:
                 D = max((g.degree for g in sym.gens + pw.gens), default=0)
             # images of the generators of I^(m) generate I^(m)/I^m
             certified = D >= sym.top_gen_degree()
-            rep = lab_sdefect(sym, pw, D, m=m)
+            rep = lab_sdefect(sym, pw, D)
             results.append(
                 {
                     "m": m,
@@ -458,17 +458,7 @@ def verify_power_identity_suite(field: PrimeField, seed: int) -> dict:
             ok = verify_power_identity(lines, m)
             total = sdefect_points(X, 2 * m).total
             bound = 1 + s * (m - 1)
-            checks.append(
-                {
-                    "check": "power-identity",
-                    "ok": bool(ok and total <= bound),
-                    "s": s,
-                    "m": m,
-                    "identity": bool(ok),
-                    "sdefect_2m": total,
-                    "bound": bound,
-                }
-            )
+            record(checks, "power-identity", ok and total <= bound, s=s, m=m, identity=bool(ok), sdefect_2m=total, bound=bound)
     return {"ok": all(c["ok"] for c in checks), "checks": checks}
 
 
@@ -478,25 +468,32 @@ def verify_paper_tables() -> dict:
     return {"ok": t1["ok"] and t2["ok"], "table1": t1, "table2": t2}
 
 
+# suite name -> (runner, the suite's size flags with their defaults)
+VERIFY_SUITES = {
+    "monomial-grid": (lambda a, f: verify_monomial_grid(a.n_max, a.m_max, f), {"n_max": 5, "m_max": 3}),
+    "general-points": (
+        lambda a, f: verify_general_points(a.s_max, [a.seed + i for i in range(a.seeds)], f),
+        {"s_max": 10, "seeds": 1},
+    ),
+    "star-decompositions": (lambda a, f: verify_star_decompositions(f, a.seed), {}),
+    "resolution-thm": (lambda a, f: verify_resolution_suite(f, a.seed), {}),
+    "power-identity": (lambda a, f: verify_power_identity_suite(f, a.seed), {}),
+    "paper-tables": (lambda a, f: verify_paper_tables(), {}),
+}
+SIZE_FLAGS = [flag for _, sizes in VERIFY_SUITES.values() for flag in sizes]
+
+
 def cmd_verify(args, field) -> tuple[int, dict]:
-    for flag in ("seeds", "n_max", "m_max", "s_max"):
-        if getattr(args, flag) < 1:
-            raise ValueError(f"--{flag.replace('_', '-')} must be at least 1, got {getattr(args, flag)}")
-    seeds = [args.seed + i for i in range(args.seeds)]
-    if args.suite == "monomial-grid":
-        out = verify_monomial_grid(args.n_max, args.m_max, field)
-    elif args.suite == "general-points":
-        out = verify_general_points(args.s_max, seeds, field)
-    elif args.suite == "star-decompositions":
-        out = verify_star_decompositions(field, args.seed)
-    elif args.suite == "resolution-thm":
-        out = verify_resolution_suite(field, args.seed)
-    elif args.suite == "power-identity":
-        out = verify_power_identity_suite(field, args.seed)
-    elif args.suite == "paper-tables":
-        out = verify_paper_tables()
-    else:
-        raise ValueError(f"unknown verification suite {args.suite!r}")
+    run, sizes = VERIFY_SUITES[args.suite]
+    for flag in SIZE_FLAGS:
+        value, name = getattr(args, flag), "--" + flag.replace("_", "-")
+        if value is None:
+            setattr(args, flag, sizes.get(flag))
+        elif flag not in sizes:
+            raise ValueError(f"{name} does not apply to verify {args.suite}")
+        elif value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    out = run(args, field)
     report = {"command": "verify", "suite": args.suite, "field": field.p, **out}
     return (EXIT_OK if out["ok"] else EXIT_MISMATCH), report
 
@@ -551,23 +548,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", default=None)
 
     p = sub.add_parser("verify", help="theorem verification suites")
-    p.add_argument(
-        "suite",
-        choices=[
-            "monomial-grid",
-            "general-points",
-            "star-decompositions",
-            "resolution-thm",
-            "power-identity",
-            "paper-tables",
-        ],
-    )
+    p.add_argument("suite", choices=list(VERIFY_SUITES))
     p.add_argument("--field", type=int, default=32003, help=FIELD_HELP)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seeds", type=int, default=1, help="number of seeds (general-points)")
-    p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--m-max", type=int, default=3)
-    p.add_argument("--s-max", type=int, default=10)
+    for suite, (_, sizes) in VERIFY_SUITES.items():
+        for flag, default in sizes.items():
+            p.add_argument("--" + flag.replace("_", "-"), type=int, default=None, help=f"{suite} only (default {default})")
     p.add_argument("--json", action="store_true")
     return ap
 
@@ -606,16 +592,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         field = PrimeField(args.field)
-        if args.command == "sdefect":
-            code, report = cmd_sdefect(args, field)
-        elif args.command == "hilbert":
-            code, report = cmd_hilbert(args, field)
-        elif args.command == "betti":
-            code, report = cmd_betti(args, field)
-        elif args.command == "verify":
-            code, report = cmd_verify(args, field)
-        else:
-            raise ValueError(f"unknown command {args.command!r}")
+        # built per call, so a command rebound on this module (the perfbench
+        # tracer wraps each one) is the one that runs
+        commands = {"sdefect": cmd_sdefect, "hilbert": cmd_hilbert, "betti": cmd_betti, "verify": cmd_verify}
+        code, report = commands[args.command](args, field)
     except (ValueError, ParseError, CertificationError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

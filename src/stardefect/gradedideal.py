@@ -35,7 +35,6 @@ from .poly import (
 class SdefectReport:
     """Per-degree minimal generator counts of the module I^(m)/I^m."""
 
-    m: int
     per_degree: dict[int, int]
     total: int
     degree_bound_used: int
@@ -286,7 +285,7 @@ def ideals_equal(J: GradedIdeal, K: GradedIdeal) -> bool:
     return J.contains_ideal(K) and K.contains_ideal(J)
 
 
-def sdefect(isym: GradedIdeal, ipow: GradedIdeal, degree_bound: int, m: int = 0) -> SdefectReport:
+def sdefect(isym: GradedIdeal, ipow: GradedIdeal, degree_bound: int) -> SdefectReport:
     """Minimal generator counts of isym/ipow, degree by degree up to the bound.
 
     mu_d = dim (isym)_d - dim((ipow)_d + R_1 (isym)_{d-1}).  The module is
@@ -304,7 +303,6 @@ def sdefect(isym: GradedIdeal, ipow: GradedIdeal, degree_bound: int, m: int = 0)
     steps = _nakayama(ring, isym.graded_piece, degrees, isym.field, extra=lambda d: ipow.graded_piece(d).basis)
     per_degree = {d: len(kept) for d, _, kept in steps}
     return SdefectReport(
-        m=m,
         per_degree=per_degree,
         total=sum(per_degree.values()),
         degree_bound_used=degree_bound,

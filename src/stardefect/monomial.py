@@ -15,70 +15,80 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .poly import Monomial, mono_divides, mono_lcm, mono_mul
+from .poly import Monomial
+
+
+def _rows(monos) -> np.ndarray:
+    """Exponent vectors as an int64 array, one monomial per row."""
+    return np.array(monos if isinstance(monos, np.ndarray) else list(monos), dtype=np.int64)
+
+
+def _divisible(gens: np.ndarray, monos: np.ndarray) -> np.ndarray:
+    """For each row of ``monos``, whether some row of ``gens`` divides it."""
+    return (gens[None, :, :] <= monos[:, None, :]).all(axis=2).any(axis=1)
 
 
 def minimalize(monos) -> tuple[Monomial, ...]:
-    """The unique minimal generating set: drop every multiple of another monomial."""
-    monos = sorted(set(monos), key=lambda m: (sum(m), m))
-    if not monos:
+    """The unique minimal generating set: drop every multiple of another monomial.
+
+    Distinct monomials of one degree never divide each other, so each degree
+    is tested once against the generators kept from the lower degrees.
+    """
+    arr = _rows(monos)
+    if len(arr) == 0:
         return ()
-    arr = np.array(monos, dtype=np.int64)
-    keep: list[int] = []
-    kept = np.empty((0, arr.shape[1]), dtype=np.int64)
-    for i in range(arr.shape[0]):
-        if kept.shape[0] == 0 or not np.any(np.all(kept <= arr[i], axis=1)):
-            keep.append(i)
-            kept = np.vstack([kept, arr[i]])
-    return tuple(tuple(int(e) for e in arr[i]) for i in keep)
+    arr = np.unique(arr, axis=0)
+    arr = arr[np.argsort(arr.sum(axis=1), kind="stable")]
+    kept = arr[:0]
+    for layer in np.split(arr, np.flatnonzero(np.diff(arr.sum(axis=1))) + 1):
+        kept = np.concatenate([kept, layer[~_divisible(kept, layer)]])
+    return tuple(map(tuple, kept.tolist()))
 
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal held by its minimal generators (an antichain)."""
+    """A monomial ideal held by its minimal generators (an antichain), sorted
+    by degree and then lexicographically."""
 
     num_vars: int
     gens: tuple[Monomial, ...]
 
     @staticmethod
     def make(num_vars: int, monos) -> "MonomialIdeal":
-        monos = list(monos)
-        for m in monos:
-            if len(m) != num_vars:
-                raise ValueError(f"monomial {m} has wrong variable count")
-        return MonomialIdeal(num_vars, minimalize(monos))
+        arr = _rows(monos)
+        if len(arr) and (arr.ndim != 2 or arr.shape[1] != num_vars):
+            raise ValueError(f"monomials must have {num_vars} exponents, got an array of shape {arr.shape}")
+        return MonomialIdeal(num_vars, minimalize(arr))
 
     @staticmethod
     def zero(num_vars: int) -> "MonomialIdeal":
         return MonomialIdeal(num_vars, ())
 
+    def _array(self) -> np.ndarray:
+        return np.array(self.gens, dtype=np.int64).reshape(len(self.gens), self.num_vars)
+
     def member(self, m: Monomial) -> bool:
-        return any(mono_divides(g, m) for g in self.gens)
+        return bool(_divisible(self._array(), _rows([m]))[0])
 
     def contains(self, other: "MonomialIdeal") -> bool:
-        return all(self.member(g) for g in other.gens)
-
-    def __eq__(self, other):
-        if not isinstance(other, MonomialIdeal):
-            return NotImplemented
-        return self.num_vars == other.num_vars and self.gens == other.gens
-
-    def __hash__(self):
-        return hash((self.num_vars, self.gens))
+        return bool(_divisible(self._array(), other._array()).all())
 
     def _check(self, other: "MonomialIdeal"):
         if self.num_vars != other.num_vars:
             raise ValueError("variable count mismatch")
+
+    def _pairs(self, other: "MonomialIdeal", op) -> "MonomialIdeal":
+        """The ideal generated by op(a, b) over all generator pairs."""
+        self._check(other)
+        pairs = op(self._array()[:, None, :], other._array()[None, :, :])
+        return MonomialIdeal.make(self.num_vars, pairs.reshape(-1, self.num_vars))
 
     def sum(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
         return MonomialIdeal.make(self.num_vars, self.gens + other.gens)
 
     def product(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check(other)
-        return MonomialIdeal.make(
-            self.num_vars, (mono_mul(a, b) for a in self.gens for b in other.gens)
-        )
+        return self._pairs(other, np.add)
 
     def power(self, m: int) -> "MonomialIdeal":
         if m < 0:
@@ -89,15 +99,12 @@ class MonomialIdeal:
         return out
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check(other)
-        return MonomialIdeal.make(
-            self.num_vars, (mono_lcm(a, b) for a in self.gens for b in other.gens)
-        )
+        """Generated by the pairwise lcms of the generators."""
+        return self._pairs(other, np.maximum)
 
     def colon(self, m: Monomial) -> "MonomialIdeal":
         """The quotient (I : m) = {f : f*m in I}, generator-wise division."""
-        out = [tuple(max(e - f, 0) for e, f in zip(g, m)) for g in self.gens]
-        return MonomialIdeal.make(self.num_vars, out)
+        return MonomialIdeal.make(self.num_vars, np.maximum(self._array() - _rows(m), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -140,24 +147,26 @@ def satisfies_condition_1(exponents, c: int, m: int) -> bool:
     return sum(exps[:c]) >= m
 
 
+def _criterion_monomials(s: int, c: int, m: int) -> np.ndarray:
+    """Exponent vectors in s variables with entries <= m whose c smallest
+    entries sum to >= m (the subset-sum criterion), one per row."""
+    grid = np.indices((m + 1,) * s).reshape(s, -1).T
+    return grid[np.sort(grid, axis=1)[:, :c].sum(axis=1) >= m]
+
+
 def uniform_symbolic_power(s: int, c: int, m: int) -> MonomialIdeal:
     """Minimal generators of the m-th symbolic power of the uniform star ideal.
 
     Enumerates exponent vectors with entries <= m (capping any larger
     exponent at m preserves the subset-sum criterion and divides the
-    original), keeps those whose c smallest entries sum to >= m, and
-    minimalizes.
+    original), keeps those that meet the criterion, and minimalizes.  At
+    m = 0 only the zero vector is left: the unit ideal.
     """
     if not 1 <= c <= s:
         raise ValueError(f"need 1 <= c <= s, got c={c}, s={s}")
     if m < 0:
         raise ValueError("negative power")
-    if m == 0:
-        return MonomialIdeal.make(s, [(0,) * s])
-    grid = np.array(list(product(range(m + 1), repeat=s)), dtype=np.int64)
-    small_sum = np.sort(grid, axis=1)[:, :c].sum(axis=1)
-    good = grid[small_sum >= m]
-    return MonomialIdeal.make(s, (tuple(int(e) for e in row) for row in good))
+    return MonomialIdeal.make(s, _criterion_monomials(s, c, m))
 
 
 def symbolic_power_star(n: int, c: int, m: int) -> MonomialIdeal:
@@ -189,18 +198,11 @@ def support_filtered_ideal(n: int, c: int, m: int) -> MonomialIdeal:
     of cardinality at least n-c+3 (the complement piece of the symbolic
     power over the ordinary power)."""
     sym = symbolic_power_star(n, c, m)
-    min_support = n - c + 3
-    gens = []
-    s = n + 1
-    grid = np.array(list(product(range(m + 1), repeat=s)), dtype=np.int64)
-    small_sum = np.sort(grid, axis=1)[:, :c].sum(axis=1)
-    supp = (grid > 0).sum(axis=1)
-    good = grid[(small_sum >= m) & (supp >= min_support)]
-    gens = (tuple(int(e) for e in row) for row in good)
-    ideal = MonomialIdeal.make(s, gens)
+    good = _criterion_monomials(n + 1, c, m)
     # capping exponents at m is harmless here too: support only shrinks by
     # capping to 0, which cannot happen for entries > m >= 1
-    if not all(sym.member(g) for g in ideal.gens):
+    ideal = MonomialIdeal.make(n + 1, good[(good > 0).sum(axis=1) >= n - c + 3])
+    if not sym.contains(ideal):
         raise RuntimeError(f"support-filtered ideal not inside I^({m}) for n={n}, c={c}")
     return ideal
 
@@ -215,7 +217,8 @@ def module_min_gens(isym: MonomialIdeal, ipow: MonomialIdeal) -> tuple[Monomial,
     """
     if not isym.contains(ipow):
         raise ValueError("power ideal is not contained in the symbolic power")
-    return tuple(g for g in isym.gens if not ipow.member(g))
+    new = ~_divisible(ipow._array(), isym._array())
+    return tuple(g for g, is_new in zip(isym.gens, new) if is_new)
 
 
 def sdefect_star_monomial(n: int, c: int, m: int) -> int:

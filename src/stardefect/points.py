@@ -305,13 +305,13 @@ def sdefect_points(X: PointSet, m: int) -> SdefectReport:
     if m < 0:
         raise ValueError("negative power")
     if m == 0:
-        return SdefectReport(m=0, per_degree={}, total=0, degree_bound_used=0)
+        return SdefectReport(per_degree={}, total=0, degree_bound_used=0)
     reg = regularity_points(X)
     D = m * reg + 1
     isym = symbolic_power_points(X, m)
     base = ideal_of_points(X)
     ipow = power_ideal(base, m)
-    return lab_sdefect(isym, ipow, D, m=m)
+    return lab_sdefect(isym, ipow, D)
 
 
 # ---------------------------------------------------------------------------

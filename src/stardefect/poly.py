@@ -28,14 +28,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 @lru_cache(maxsize=None)
 def monomial_basis(num_vars: int, d: int) -> tuple[Monomial, ...]:
     """All monomials of degree d in lex order (x0 > x1 > ...), descending."""
@@ -291,12 +283,9 @@ def substitute(m: Monomial, forms: list[HomogPoly]) -> HomogPoly:
     return out
 
 
-def coefficient_vector(f: HomogPoly, degree: int | None = None) -> np.ndarray:
+def coefficient_vector(f: HomogPoly) -> np.ndarray:
     """Dense coefficient vector of f in the lex monomial basis of its degree."""
-    d = f.degree if degree is None else degree
-    if d != f.degree:
-        raise ValueError(f"degree mismatch: poly has degree {f.degree}, basis is {d}")
-    n = basis_size(f.num_vars, d)
+    n = basis_size(f.num_vars, f.degree)
     if isinstance(f.field, PrimeField):
         v = np.zeros(n, dtype=np.int64)
     else:

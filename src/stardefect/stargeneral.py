@@ -161,7 +161,7 @@ def symbolic_power_star_general(cfg: StarConfig, m: int) -> GradedIdeal:
     """
     if m < 0:
         raise ValueError("negative power")
-    source = uniform_symbolic_power(cfg.s, cfg.c, m) if m else uniform_star(cfg.s, cfg.c).power(0)
+    source = uniform_symbolic_power(cfg.s, cfg.c, m)
     gens = [substitute(mono, cfg.forms) for mono in source.gens]
     return GradedIdeal(cfg.num_vars, gens, cfg.field)
 

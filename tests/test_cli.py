@@ -188,6 +188,24 @@ def test_verify_sizes_below_one_rejected(capsys, argv):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "paper-tables", "--n-max", "3"],
+        ["verify", "monomial-grid", "--seeds", "4"],
+        ["verify", "resolution-thm", "--s-max", "2"],
+        ["verify", "general-points", "--m-max", "2"],
+        ["verify", "power-identity", "--seeds", "1"],
+        ["verify", "star-decompositions", "--n-max", "5"],
+    ],
+)
+def test_verify_size_flag_of_another_suite_rejected(capsys, argv):
+    # --n-max/--m-max size monomial-grid and --s-max/--seeds general-points only
+    code, err = run_err(capsys, *argv, "--json")
+    assert code == 1
+    assert err.startswith("error:") and argv[2] in err and "does not apply" in err
+
+
 def test_hilbert_rejects_degree_bound(capsys):
     # --max-degree is the hilbert bound; --degree-bound is not a hilbert flag
     assert main(["hilbert", "--points", "random:s=3,seed=1", "--degree-bound", "1", "--json"]) == 1

@@ -1,7 +1,7 @@
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stardefect.monomial import (
     MonomialIdeal,
@@ -82,6 +82,51 @@ def test_ideal_ops():
 def test_minimalize_antichain():
     out = minimalize([(2, 0), (1, 0), (1, 1), (3, 2)])
     assert out == ((1, 0),)
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _minimal(monos):
+    """Minimal generators by the pairwise definition, sorted like MonomialIdeal.gens."""
+    distinct = set(monos)
+    keep = [m for m in distinct if not any(g != m and _divides(g, m) for g in distinct)]
+    return tuple(sorted(keep, key=lambda m: (sum(m), m)))
+
+
+def _exponent_lists(nv):
+    return st.lists(st.tuples(*[st.integers(0, 3)] * nv), max_size=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda nv: st.tuples(st.just(nv), _exponent_lists(nv), _exponent_lists(nv))))
+@example((2, [], [(0, 0)]))
+@example((3, [(1, 0, 2), (1, 0, 2), (0, 0, 0)], [(2, 1, 0), (2, 1, 0)]))
+def test_monomial_layer_matches_pairwise_definitions(case):
+    nv, a, b = case
+    assert minimalize(a) == _minimal(a)
+    I, J = MonomialIdeal.make(nv, a), MonomialIdeal.make(nv, b)
+    assert I.gens == _minimal(a)
+    for m in b:
+        assert I.member(m) == any(_divides(g, m) for g in a)
+        assert I.colon(m).gens == _minimal([tuple(max(x - y, 0) for x, y in zip(g, m)) for g in a])
+    contains = all(any(_divides(g, m) for g in a) for m in b)
+    assert I.contains(J) == contains
+    assert I.product(J).gens == _minimal([tuple(x + y for x, y in zip(g, h)) for g in a for h in b])
+    lcms = [tuple(max(x, y) for x, y in zip(g, h)) for g in a for h in b]
+    assert I.intersect(J).gens == _minimal(lcms)
+    assert module_min_gens(I, I.intersect(J)) == tuple(
+        g for g in I.gens if not any(_divides(l, g) for l in lcms)
+    )
+    if not contains:
+        with pytest.raises(ValueError):
+            module_min_gens(I, J)
+    # equality and hashing see only (num_vars, gens)
+    same = MonomialIdeal.make(nv, a[::-1] + a)
+    assert same == I and len({I, same}) == 1
+    wider = MonomialIdeal.make(nv + 1, [g + (0,) for g in a])
+    assert wider != I and len({I, wider}) == 2
 
 
 def test_module_min_gens_examples():
