@@ -18,6 +18,7 @@ the generic values, and the certificate travels with the point set.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -238,29 +239,75 @@ class _PointConditions:
         return out
 
 
-def symbolic_power_pieces(X: PointSet, m: int, degree_bound: int) -> dict[int, Subspace]:
-    """Graded pieces of the m-th symbolic power, degree by degree."""
+def _condition_kernels(X: PointSet, m: int) -> Callable[[int], Subspace]:
+    """d -> I_X^(m)_d, the kernel of the stacked condition tables of degree d.
+
+    Each degree's kernel is computed at most once.  R is a domain, so
+    I_d = 0 forces I_{d-1} = 0: below the highest degree found to hold a
+    zero piece, every piece is ``Subspace.zero`` with no elimination.  Asking
+    for degrees in decreasing order therefore eliminates only down to the
+    first zero piece.
+    """
     field = X.field
     conds = [_PointConditions(pt, m, field) for pt in X.points]
     pieces: dict[int, Subspace] = {}
-    for d in range(degree_bound + 1):
-        pieces[d] = Subspace.kernel(np.concatenate([c.table(d) for c in conds], axis=0), field)
-    return pieces
+    zero_top = -1  # highest degree known to hold a zero piece
+
+    def piece(d: int) -> Subspace:
+        nonlocal zero_top
+        if d <= zero_top:
+            return Subspace.zero(basis_size(3, d), field)
+        if d not in pieces:
+            pieces[d] = Subspace.kernel(np.concatenate([c.table(d) for c in conds], axis=0), field)
+            if pieces[d].dim == 0:
+                zero_top = d
+        return pieces[d]
+
+    return piece
+
+
+def symbolic_power_pieces(X: PointSet, m: int, degree_bound: int) -> dict[int, Subspace]:
+    """The pieces I_X^(m)_d for d = 0..degree_bound, keyed by degree.
+
+    Degrees are visited from the top down, so one condition kernel is
+    computed per degree down to the first zero piece, and the pieces below
+    it are inherited as zero (see :func:`_condition_kernels`).
+    """
+    piece = _condition_kernels(X, m)
+    top_down = [piece(d) for d in range(degree_bound, -1, -1)]
+    return dict(enumerate(reversed(top_down)))
 
 
 def symbolic_power_points(X: PointSet, m: int) -> GradedIdeal:
-    """I_X^(m) as a graded ideal, with certified-complete generators.
+    """I_X^(m) as a graded ideal, with its pieces through reg(I_X^(m)).
 
-    Its pieces are built through m * reg(I_X); beyond that degree the
-    symbolic and ordinary powers agree and the module of new generators is
-    exhausted, so the Nakayama generators of its pieces
+    R/I_X^(m) is one-dimensional Cohen-Macaulay of degree
+    e = |X| * binom(m+1, 2), so reg(I_X^(m)) = sigma + 1, where sigma is the
+    least degree with HF(R/I_X^(m))(sigma) = e.  sigma is read off the
+    pieces themselves; no generic value is assumed.  Minimal generators lie
+    in degrees <= reg(I_X^(m)), so the Nakayama generators of these pieces
     (:meth:`GradedIdeal.from_pieces`) generate the whole symbolic power, and
     higher pieces follow from them.
+
+    From the least degree d0 with dim R_d0 > e on, the e condition rows
+    leave every piece nonzero.  Below d0 kernels are computed from d0 - 1
+    downward only through the first zero piece; the pieces below it are
+    inherited as zero.  If HF has not reached e by m * reg(I_X), a ceiling
+    on reg(I_X^(m)), an ArithmeticError is raised.
     """
     if m < 1:
         raise ValueError("symbolic power needs m >= 1")
-    certified = m * regularity_points(X)
-    return GradedIdeal.from_pieces(3, symbolic_power_pieces(X, m, certified), X.field)
+    e = len(X) * comb(m + 1, 2)
+    ceiling = m * regularity_points(X)
+    piece = _condition_kernels(X, m)
+    d0 = next(d for d in range(e + 1) if basis_size(3, d) > e)
+    for d in range(d0 - 1, -1, -1):
+        if piece(d).dim == 0:
+            break
+    sigma = next((d for d in range(ceiling + 1) if basis_size(3, d) - piece(d).dim == e), None)
+    if sigma is None:
+        raise ArithmeticError(f"HF of R/I_X^({m}) does not reach {e} by degree {ceiling}")
+    return GradedIdeal.from_pieces(3, {d: piece(d) for d in range(sigma + 2)}, X.field)
 
 
 def symbolic_piece_by_intersection(X: PointSet, m: int, d: int) -> Subspace:
@@ -278,29 +325,43 @@ def symbolic_piece_by_intersection(X: PointSet, m: int, d: int) -> Subspace:
     return out
 
 
-def power_ideal(I: GradedIdeal, m: int) -> GradedIdeal:
-    """I^m generated by all m-fold products of the given generators.
+def power_ideal(I: GradedIdeal, m: int, max_degree: int | None = None) -> GradedIdeal:
+    """I^m generated by the m-fold products of the given generators.
 
     The products come in ``combinations_with_replacement`` order of the
     generators; each multiplies its (m-1)-fold prefix once, starting from
-    the empty product 1.
+    the empty product 1.  With ``max_degree`` only the products of degree
+    <= max_degree are formed, in the same order: a prefix is dropped once
+    its degree plus (factors still to come) * (least generator degree)
+    exceeds the bound.  The ideal they generate has the pieces of I^m in
+    every degree <= max_degree, and no others are promised.
     """
     if m < 0:
         raise ValueError("negative power")
+    cap = float("inf") if max_degree is None else max_degree
+    low = min((g.degree for g in I.gens), default=0)
     one = HomogPoly(I.num_vars, 0, {(0,) * I.num_vars: I.field.of(1)}, I.field)
     level = [(0, one)]  # (index of the last factor, product)
-    for _ in range(m):
-        level = [(i, multiply(f, I.gens[i])) for last, f in level for i in range(last, len(I.gens))]
+    for later in range(m - 1, -1, -1):  # factors still to come after this one
+        level = [
+            (i, multiply(f, I.gens[i]))
+            for last, f in level
+            for i in range(last, len(I.gens))
+            if f.degree + I.gens[i].degree + later * low <= cap
+        ]
     return GradedIdeal(I.num_vars, [f for _, f in level], I.field)
 
 
 def sdefect_points(X: PointSet, m: int) -> SdefectReport:
     """Symbolic defect of the point ideal, with the certified degree bound.
 
-    Reports D = m*reg(I_X) + 1: regularity bounds both the saturation degree
-    of I_X^m and every generator degree in sight, so the per-degree counts are
-    complete and the total is exact.  I_X^(m) itself is built to its own
-    certified ceiling m*reg(I_X); sdefect stops at its top generator degree.
+    Reports D = m*reg(I_X) + 1: regularity bounds every generator degree in
+    sight, so the per-degree counts are complete and the total is exact.
+    I_X^(m) is built through its own regularity (:func:`symbolic_power_points`),
+    and sdefect reads I_X^m only in degrees <= the top generator degree of
+    I_X^(m); there the products of degree <= that bound
+    (``power_ideal(..., max_degree=...)``) generate the same pieces as I_X^m.
+    Every product formed is checked to lie in I_X^(m).
     """
     if m < 0:
         raise ValueError("negative power")
@@ -309,8 +370,7 @@ def sdefect_points(X: PointSet, m: int) -> SdefectReport:
     reg = regularity_points(X)
     D = m * reg + 1
     isym = symbolic_power_points(X, m)
-    base = ideal_of_points(X)
-    ipow = power_ideal(base, m)
+    ipow = power_ideal(ideal_of_points(X), m, max_degree=isym.top_gen_degree())
     return lab_sdefect(isym, ipow, D)
 
 

@@ -206,6 +206,34 @@ def test_verify_size_flag_of_another_suite_rejected(capsys, argv):
     assert err.startswith("error:") and argv[2] in err and "does not apply" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "paper-tables", "--seed", "9"],
+        ["verify", "monomial-grid", "--n-max", "1", "--m-max", "1", "--seed", "9"],
+        ["verify", "monomial-grid", "--seed", "1"],
+    ],
+)
+def test_verify_seed_of_unseeded_suite_rejected(capsys, argv):
+    # only general-points, star-decompositions, resolution-thm and power-identity draw at random
+    code, err = run_err(capsys, *argv, "--json")
+    assert code == 1
+    assert err.startswith("error:") and "--seed does not apply to verify " + argv[1] in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "general-points", "--s-max", "2"],
+        ["verify", "power-identity"],
+    ],
+)
+def test_verify_seed_defaults_to_one(capsys, argv):
+    _, default = run(capsys, *argv, "--json")
+    _, one = run(capsys, *argv, "--seed", "1", "--json")
+    assert json.loads(default)["ok"] and default == one
+
+
 def test_hilbert_rejects_degree_bound(capsys):
     # --max-degree is the hilbert bound; --degree-bound is not a hilbert flag
     assert main(["hilbert", "--points", "random:s=3,seed=1", "--degree-bound", "1", "--json"]) == 1

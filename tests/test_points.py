@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stardefect.cli import verify_general_points
-from stardefect.gradedideal import graded_betti
+from stardefect.gradedideal import GradedIdeal, graded_betti, sdefect as lab_sdefect
 from stardefect.linalg import GF32003, PrimeField, Subspace, kernel_basis
 from stardefect.points import (
     _PointConditions,
@@ -327,3 +327,67 @@ def test_point_condition_tables_match_per_row_loop(prime):
             conds = _PointConditions(pt, m, field)
             for d in range(7):
                 assert np.array_equal(conds.table(d), _condition_table_oracle(conds.A, m, d, prime))
+
+
+def _direct_kernel(X, m, d):
+    """I_X^(m)_d as the kernel of every point's condition table, with no shortcut."""
+    tables = [_PointConditions(pt, m, X.field).table(d) for pt in X.points]
+    return Subspace.kernel(np.concatenate(tables, axis=0), X.field)
+
+
+_CEILING_CASES = [(f"random-{s}", lambda s=s: random_general_points(s, s)) for s in range(1, 11)] + [
+    ("star-4-lines", lambda: star_points_from_lines(random_general_lines(4, 2))),
+    ("star-5-lines", lambda: star_points_from_lines(random_general_lines(5, 3))),
+    ("collinear-4", lambda: pts((1, 0, 0), (0, 0, 1), (1, 0, 1), (1, 0, 2))),
+    ("collinear-3-plus-1", lambda: pts((1, 0, 0), (0, 0, 1), (1, 0, 1), (0, 1, 0))),
+    ("conic-6", lambda: pts(*[(1, t, t * t) for t in range(6)])),  # on x0*x2 = x1^2
+    ("one-point", lambda: pts((0, 0, 1))),
+]
+
+
+@pytest.mark.parametrize("name,make", _CEILING_CASES, ids=[c[0] for c in _CEILING_CASES])
+def test_symbolic_power_built_through_its_regularity(name, make):
+    X = make()
+    reg_x = regularity_points(X)
+    base = ideal_of_points(X)
+    for m in range(1, 5):
+        e = len(X) * (m + 1) * m // 2
+        J = symbolic_power_points(X, m)
+        top = max(J._pieces)
+        assert sorted(J._pieces) == list(range(top + 1)), m
+        # every built piece, the zero ones inherited without a kernel included
+        for d in range(top + 1):
+            assert J._pieces[d] == _direct_kernel(X, m, d), (m, d)
+        sigma = next(d for d in range(m * reg_x + 1) if basis_size(3, d) - _direct_kernel(X, m, d).dim == e)
+        assert top == sigma + 1, m
+        # the route with no ceiling: pieces through m*reg(I_X), every m-fold product
+        full = GradedIdeal.from_pieces(3, symbolic_power_pieces(X, m, m * reg_x), X.field)
+        want = lab_sdefect(full, power_ideal(base, m), m * reg_x + 1)
+        assert sdefect_points(X, m).per_degree == want.per_degree, m
+
+
+def test_power_ideal_cap_keeps_the_low_products_in_order():
+    # I_X of five general points: one conic and two cubics
+    I = ideal_of_points(random_general_points(5, 1))
+    assert sorted(g.degree for g in I.gens) == [2, 3, 3]
+    for m in (1, 2, 3):
+        full = power_ideal(I, m).gens
+        for k in range(0, 3 * m + 2):
+            assert power_ideal(I, m, max_degree=k).gens == [g for g in full if g.degree <= k], (m, k)
+        assert power_ideal(I, m, max_degree=2 * m - 1).gens == []
+
+
+def test_symbolic_power_of_eight_points_skips_zero_and_high_degrees(monkeypatch):
+    X = random_general_points(8, 1)
+    degree_of_width = {basis_size(3, d): d for d in range(40)}
+    kernel = Subspace.kernel
+    seen = []
+
+    def counted(M, field):
+        seen.append(degree_of_width[M.shape[1]])
+        return kernel(M, field)
+
+    monkeypatch.setattr(Subspace, "kernel", staticmethod(counted))
+    J = symbolic_power_points(X, 7)
+    assert sorted(J._pieces) == list(range(22))
+    assert seen == [19, 20, 21]
