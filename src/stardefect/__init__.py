@@ -50,7 +50,6 @@ from .points import (
     sdefect_points,
     star_points_from_lines,
     symbolic_power_points,
-    verify_power_identity,
 )
 from .poly import HomogPoly, Monomial, ParseError, monomial_basis, parse_form, substitute
 from .stargeneral import (
@@ -63,6 +62,7 @@ from .stargeneral import (
     star_ideal,
     symbolic_power_star_general,
     verify_cube_decomposition_general,
+    verify_power_identity,
     verify_resolution_theorems,
     verify_square_decomposition_general,
 )

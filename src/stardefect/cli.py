@@ -36,7 +36,6 @@ from .points import (
     sdefect_points,
     star_points_from_lines,
     symbolic_power_points,
-    verify_power_identity,
 )
 from .stargeneral import (
     CertificationError,
@@ -46,6 +45,7 @@ from .stargeneral import (
     star_ideal,
     symbolic_power_star_general,
     verify_cube_decomposition_general,
+    verify_power_identity,
     verify_resolution_theorems,
     verify_square_decomposition_general,
 )
@@ -252,9 +252,10 @@ def cmd_sdefect(args, field) -> tuple[int, dict]:
             "degrees": cfg.degrees,
             "certificate": cfg.certificate,
         }
+        ic = star_ideal(cfg)
         for m in ms:
             sym = symbolic_power_star_general(cfg, m)
-            pw = power_ideal(star_ideal(cfg), m)
+            pw = power_ideal(ic, m)
             if args.degree_bound is not None:
                 D = args.degree_bound
             else:

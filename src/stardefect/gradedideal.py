@@ -208,20 +208,20 @@ def multiples(num_vars: int, forms: list[HomogPoly], d: int, field: Field) -> np
     out = field.zeros((sum(sizes), basis_size(num_vars, d)))
     start = 0
     for g, n in zip(forms, sizes):
-        coeffs = np.array(list(g.terms.values()), dtype=out.dtype)
-        _place_multiples(out[start : start + n], num_vars, list(g.terms), coeffs, d - g.degree)
+        exps, coeffs = g.term_arrays(out.dtype)
+        _place_multiples(out[start : start + n], exps, coeffs, d - g.degree)
         start += n
     return out
 
 
-def _place_multiples(out: np.ndarray, num_vars: int, exps, coeffs: np.ndarray, k: int, offset: int = 0):
+def _place_multiples(out: np.ndarray, exps: np.ndarray, coeffs: np.ndarray, k: int, offset: int = 0):
     """Write basis(k)[i] * (sum_t coeffs[t] x^exps[t]) into row i of out.
 
     ``exps`` are the exponent rows of one degree; the products land in the
     columns of their degree's basis, shifted by offset.  One
     ``product_positions`` call, one fancy-index assignment.
     """
-    pos = product_positions(num_vars, k, exps)
+    pos = product_positions(basis_exponents(exps.shape[1], k), exps)
     out[np.arange(pos.shape[0])[:, None], offset + pos] = coeffs
 
 
@@ -370,7 +370,7 @@ class FreeModuleLayout:
                 nz = np.flatnonzero(comp)
                 if nz.size:
                     exps = basis_exponents(nv, a - b)[nz]
-                    _place_multiples(out[start : start + n], nv, exps, comp[nz], j - a, off_j)
+                    _place_multiples(out[start : start + n], exps, comp[nz], j - a, off_j)
             start += n
         return out.T.copy()
 

@@ -107,11 +107,10 @@ class RationalField:
         return m
 
     def matrix(self, rows) -> np.ndarray:
-        m = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
-        for i, row in enumerate(rows):
-            for j, a in enumerate(row):
-                m[i, j] = Fraction(a)
-        return m
+        m = np.array(rows, dtype=object)
+        if m.ndim == 1:
+            m = m.reshape(1, -1)
+        return np.frompyfunc(Fraction, 1, 1)(m)
 
 
 QQ = RationalField()
@@ -477,10 +476,6 @@ class Subspace:
         self._check_ambient(other)
         rows = np.concatenate([self.basis, other.basis], axis=0)
         return Subspace.from_rows(rows, self.field, self.ambient_dim)
-
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return other.contains_rows(self.basis)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

@@ -21,11 +21,12 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from .gradedideal import GradedIdeal, SdefectReport, multiples, sdefect as lab_sdefect
+from .gradedideal import GradedIdeal, SdefectReport, graded_betti, multiples, sdefect as lab_sdefect
 from .linalg import PrimeField, Subspace, kernel_basis, rank
 from .poly import (
     HomogPoly,
@@ -471,8 +472,6 @@ def star_points_from_lines(lines: list[HomogPoly]) -> PointSet:
     Requires every pair independent and no three concurrent (every triple of
     coefficient rows has rank 3).
     """
-    from itertools import combinations
-
     if len(lines) < 2:
         raise ValueError("need at least two lines")
     field = lines[0].field
@@ -517,19 +516,6 @@ def random_general_lines(s: int, seed: int, prime: int = 32003) -> list[HomogPol
 # theorem checks
 # ---------------------------------------------------------------------------
 
-def verify_power_identity(lines: list[HomogPoly], m: int) -> bool:
-    """I^(2m) = (I^(2))^m for the codimension-2 star of a line arrangement."""
-    from .stargeneral import StarConfig, symbolic_power_star_general
-
-    cfg = StarConfig.build(3, 2, lines)
-    lhs = symbolic_power_star_general(cfg, 2 * m)
-    sym2 = symbolic_power_star_general(cfg, 2)
-    rhs = power_ideal(sym2, m)
-    from .gradedideal import ideals_equal
-
-    return ideals_equal(lhs, rhs)
-
-
 def sdefect2_fits_classification(s: int, total: int) -> bool:
     """Whether sdefect(I_X, 2) = total fits the known split for s general points.
 
@@ -559,8 +545,6 @@ def linear_resolution_check(X: PointSet) -> bool:
     first syzygies are concentrated in degree alpha + 1 with rank alpha.
     The three answers must agree.
     """
-    from .gradedideal import graded_betti
-
     prof = points_profile(X)
     alpha = prof.alpha
     I = ideal_of_points(X)

@@ -8,18 +8,24 @@ echelon basis downstream) are reproducible bit for bit.
 ``HomogPoly`` is strictly homogeneous: all stored terms share one degree and
 zero coefficients are never stored.  Coefficients are plain ints in [0, p)
 over a prime field, Fractions over the rationals.
+
+A form crosses to and from its coefficient row in one vectorized step
+(``HomogPoly.term_arrays`` with ``rank_exponents``, and ``poly_from_vector``),
+and every product of forms is a scatter at ``product_positions``: one path
+for every size and for both fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
 
-from .linalg import Field, PrimeField
+from .linalg import Field
 
 Monomial = tuple[int, ...]
 
@@ -67,52 +73,50 @@ def basis_exponents(num_vars: int, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _binom_table(n_max: int) -> np.ndarray:
+    """T[k, n] = binom(n, k) for 0 <= k, n <= n_max; row k is contiguous."""
     T = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
     for n in range(n_max + 1):
-        T[n, 0] = 1
+        T[0, n] = 1
         for k in range(1, n + 1):
-            T[n, k] = T[n - 1, k - 1] + T[n - 1, k]
+            T[k, n] = T[k - 1, n - 1] + T[k, n - 1]
     return T
 
 
 def rank_exponents(exps: np.ndarray) -> np.ndarray:
-    """Vectorized lex rank of exponent rows within their own degree's basis."""
+    """Vectorized lex rank of exponent rows within their own degree's basis.
+
+    Position k adds binom(r - 1 + u, u), where r is the degree left after
+    position k and u = v - 1 - k the number of later variables; r - 1 + u
+    is never negative, and the term is zero when r = 0.
+    """
     exps = np.asarray(exps, dtype=np.int64)
-    n, v = exps.shape
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    deg = exps.sum(axis=1)
-    T = _binom_table(int(deg.max()) + v + 1)
-    rem = deg.copy()
-    out = np.zeros(n, dtype=np.int64)
+    v = exps.shape[1]
+    rem = exps.sum(axis=1)
+    T = _binom_table(int(rem.max(initial=0)) + v)
+    out = np.zeros(len(exps), dtype=np.int64)
     for k in range(v - 1):
-        u = v - k - 1  # remaining variables after position k
-        top = rem - exps[:, k] - 1 + u
-        valid = top >= u
-        out[valid] += T[top[valid], u]
         rem -= exps[:, k]
+        out += T[v - k - 1][rem + (v - k - 2)]
     return out
 
 
-def product_positions(num_vars: int, k: int, monos) -> np.ndarray:
-    """Positions of basis(k)[i] * monos[t] in their degree's basis.
+def product_positions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Basis positions of every product a[i] + b[t] of exponent rows.
 
-    Returns an (N_k, len(monos)) array; every product is ranked by one
-    ``rank_exponents`` call.  With monos of one degree e, row i lists where
-    the terms of basis(k)[i] * g land in basis(k + e) for a form g with
-    those monomials.
+    ``a`` and ``b`` are exponent arrays of shape (n_a, v) and (n_b, v), each
+    of one degree; the result has shape (n_a, n_b) and indexes the basis of
+    the sum of the two degrees.  Every product is ranked by one
+    ``rank_exponents`` call.
     """
-    exps = basis_exponents(num_vars, k)
-    shifts = np.array(monos, dtype=np.int64).reshape(-1, num_vars)
-    prods = exps[:, None, :] + shifts[None, :, :]
-    return rank_exponents(prods.reshape(-1, num_vars)).reshape(exps.shape[0], shifts.shape[0])
+    prods = a[:, None, :] + b[None, :, :]
+    return rank_exponents(prods.reshape(-1, a.shape[1])).reshape(a.shape[0], b.shape[0])
 
 
 @lru_cache(maxsize=None)
 def var_shift(num_vars: int, d: int, j: int) -> np.ndarray:
     """Index map: basis(d) position i -> basis(d+1) position of x_j * basis(d)[i]."""
-    xj = tuple(int(v == j) for v in range(num_vars))
-    return product_positions(num_vars, d, [xj])[:, 0]
+    unit = np.eye(num_vars, dtype=np.int64)[j : j + 1]
+    return product_positions(basis_exponents(num_vars, d), unit)[:, 0]
 
 
 @dataclass
@@ -193,47 +197,37 @@ class HomogPoly:
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         return multiply(self, other)
 
+    def term_arrays(self, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Exponent rows, shape (#terms, num_vars), and coefficients of dtype.
+
+        The two arrays list the terms in one order.  This is the only place
+        a form's terms become arrays.
+        """
+        exps = np.array(list(self.terms), dtype=np.int64).reshape(-1, self.num_vars)
+        return exps, np.array(list(self.terms.values()), dtype=dtype)
+
     def __repr__(self):
         return f"HomogPoly({format_poly(self)!r})"
 
 
 def multiply(f: HomogPoly, g: HomogPoly) -> HomogPoly:
-    """Exact product of homogeneous polynomials."""
+    """Exact product of homogeneous polynomials, one path for every size.
+
+    The products of all coefficient pairs are reduced by the field (into
+    [0, p) over GF(p)) and scattered onto the basis positions of their
+    monomials with ``np.add.at``.  An entry sums at most min(#f, #g) of
+    them, so over GF(p) every entry stays below min(#f, #g)·p, far inside
+    int64; ``poly_from_vector`` reduces the sums.
+    """
     if f.num_vars != g.num_vars:
         raise ValueError("variable count mismatch")
     if f.field != g.field:
         raise ValueError("field mismatch")
     nv, d = f.num_vars, f.degree + g.degree
-    if f.is_zero or g.is_zero:
-        return HomogPoly.zero(nv, d, f.field)
-    if isinstance(f.field, PrimeField) and len(f.terms) * len(g.terms) > 256:
-        return _multiply_dense_gfp(f, g)
-    out: dict[Monomial, object] = {}
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
-            m = mono_mul(m1, m2)
-            c = f.field.of(out.get(m, 0) + c1 * c2)
-            if c == 0:
-                out.pop(m, None)
-            else:
-                out[m] = c
-    return HomogPoly(nv, d, out, f.field)
-
-
-def _multiply_dense_gfp(f: HomogPoly, g: HomogPoly) -> HomogPoly:
-    # scatter the dense vector of the bigger factor through the terms of the smaller
-    if len(f.terms) < len(g.terms):
-        f, g = g, f
-    p = f.field.p
-    nv = f.num_vars
-    d = f.degree + g.degree
-    vf = coefficient_vector(f)
-    idx = np.nonzero(vf)[0]
-    coeffs = np.array([int(c) for c in g.terms.values()], dtype=np.int64)
-    tgt = product_positions(nv, f.degree, list(g.terms))[idx]
-    out = np.zeros(basis_size(nv, d), dtype=np.int64)
-    np.add.at(out, tgt, vf[idx, None] * coeffs % p)
-    out %= p
+    out = f.field.zeros((basis_size(nv, d),))
+    fe, fc = f.term_arrays(out.dtype)
+    ge, gc = g.term_arrays(out.dtype)
+    np.add.at(out, product_positions(fe, ge), f.field.matrix(np.outer(fc, gc)))
     return poly_from_vector(out, nv, d, f.field)
 
 
@@ -285,22 +279,25 @@ def substitute(m: Monomial, forms: list[HomogPoly]) -> HomogPoly:
 
 def coefficient_vector(f: HomogPoly) -> np.ndarray:
     """Dense coefficient vector of f in the lex monomial basis of its degree."""
-    n = basis_size(f.num_vars, f.degree)
-    if isinstance(f.field, PrimeField):
-        v = np.zeros(n, dtype=np.int64)
-    else:
-        v = f.field.zeros((n,))
-    for m, c in f.terms.items():
-        v[mono_index(m)] = c
+    v = f.field.zeros((basis_size(f.num_vars, f.degree),))
+    exps, coeffs = f.term_arrays(v.dtype)
+    v[rank_exponents(exps)] = coeffs
     return v
 
 
 def poly_from_vector(v: np.ndarray, num_vars: int, d: int, field: Field) -> HomogPoly:
+    """The form with coefficient vector v in the lex basis of degree d.
+
+    The entries are normalized by the field in one step, so any integer
+    vector works over GF(p): entries come out reduced into [0, p), and the
+    ones divisible by p are dropped.
+    """
     basis = monomial_basis(num_vars, d)
     if len(v) != len(basis):
         raise ValueError("vector length does not match basis size")
-    terms = {basis[i]: field.of(v[i]) for i in np.nonzero(v)[0]}
-    return HomogPoly(num_vars, d, terms, field)
+    w = field.matrix(v)[0]
+    nz = np.flatnonzero(w)
+    return HomogPoly(num_vars, d, dict(zip(map(basis.__getitem__, nz.tolist()), w[nz].tolist())), field)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +388,10 @@ def _parse_terms(text: str):
                     den, i = read_int(i + 1)
                     if den == 0:
                         raise ParseError(i - 1, "zero denominator")
-                    val = field_fraction(num, den)
+                    val = Fraction(num, den)
                 else:
                     val = num
-                coeff = val if coeff is None else _coeff_mul(coeff, val)
+                coeff = val if coeff is None else coeff * val
                 expect_factor = False
             elif i < n and text[i] in "xy":
                 if not expect_factor:
@@ -424,8 +421,7 @@ def _parse_terms(text: str):
             raise ParseError(i, "dangling '*'")
         if coeff is None and not factors:
             raise ParseError(term_pos, "expected a term")
-        c = coeff if coeff is not None else 1
-        c = _coeff_mul(c, sign)
+        c = (coeff if coeff is not None else 1) * sign
         terms.append((term_pos, c, factors))
         first = False
         i = skip_ws(i)
@@ -434,23 +430,13 @@ def _parse_terms(text: str):
     return terms, letter or "x", max_index
 
 
-def field_fraction(num, den):
-    from fractions import Fraction
-
-    return Fraction(num, den)
-
-
-def _coeff_mul(a, b):
-    return a * b
-
-
 def format_poly(f: HomogPoly, letter: str = "x") -> str:
-    """Canonical text form (terms in lex order of their monomials)."""
+    """Canonical text form (terms in descending lex order, the basis order)."""
     if f.is_zero:
         return "0"
     offset = 1 if letter == "y" else 0
     parts = []
-    for m in sorted(f.terms, key=mono_index):
+    for m in sorted(f.terms, reverse=True):
         c = f.terms[m]
         factors = []
         for j, e in enumerate(m):

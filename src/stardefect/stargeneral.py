@@ -180,6 +180,14 @@ def verify_square_decomposition_general(cfg: StarConfig) -> bool:
     return ideals_equal(lhs, rhs)
 
 
+def verify_power_identity(lines: list[HomogPoly], m: int) -> bool:
+    """I^(2m) = (I^(2))^m for the codimension-2 star of a line arrangement."""
+    cfg = StarConfig.build(3, 2, lines)
+    lhs = symbolic_power_star_general(cfg, 2 * m)
+    rhs = power_ideal(symbolic_power_star_general(cfg, 2), m)
+    return ideals_equal(lhs, rhs)
+
+
 def verify_cube_decomposition_general(cfg: StarConfig) -> bool:
     """I^(3) = I_{c-2,F} + I_{c-1,F} I_{c,F} + I_{c,F}^3 exactly."""
     if cfg.c < 3:

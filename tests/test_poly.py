@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stardefect.linalg import GF32003, QQ
+from stardefect.linalg import GF32003, QQ, PrimeField
 from stardefect.poly import (
     HomogPoly,
     ParseError,
@@ -60,11 +60,11 @@ def test_rank_exponents_matches_enumeration(nv, d):
 @given(st.integers(1, 5), st.integers(0, 5), st.integers(0, 4), st.integers(0, 10**6))
 def test_product_positions_match_mono_index(nv, k, e, seed):
     rng = np.random.default_rng(seed)
-    basis_e = monomial_basis(nv, e)
-    monos = [basis_e[i] for i in rng.integers(0, len(basis_e), size=int(rng.integers(1, 6)))]
-    pos = product_positions(nv, k, monos)
-    expected = [[mono_index(mono_mul(b, m)) for m in monos] for b in monomial_basis(nv, k)]
-    assert pos.shape == (basis_size(nv, k), len(monos))
+    a = basis_exponents(nv, k)[rng.integers(0, basis_size(nv, k), size=int(rng.integers(0, 7)))]
+    b = basis_exponents(nv, e)[rng.integers(0, basis_size(nv, e), size=int(rng.integers(0, 7)))]
+    pos = product_positions(a, b)
+    expected = [[mono_index(mono_mul(tuple(x), tuple(y))) for y in b.tolist()] for x in a.tolist()]
+    assert pos.shape == (len(a), len(b))
     assert pos.tolist() == expected
 
 
@@ -147,18 +147,64 @@ def test_vector_addition_is_poly_addition():
     )
 
 
-def test_dense_and_sparse_products_agree():
+FIELDS = [PrimeField(7), GF32003, PrimeField(8388593), QQ]
+
+
+def random_form(field, nv, d, rng, nterms=None):
+    """A form with nterms random monomials (all of them by default) and
+    random nonzero coefficients, built term by term."""
+    basis = monomial_basis(nv, d)
+    picks = range(len(basis)) if nterms is None else rng.choice(len(basis), nterms, replace=False)
+    if field == QQ:
+        coeff = lambda: Fraction(int(rng.integers(-50, 50)) or 1, int(rng.integers(1, 9)))
+    else:
+        coeff = lambda: int(rng.integers(1, field.p))
+    return HomogPoly(nv, d, {basis[i]: coeff() for i in picks}, field)
+
+
+def all_minus_one(field, nv, d):
+    return HomogPoly(nv, d, {m: field.of(-1) for m in monomial_basis(nv, d)}, field)
+
+
+def product_cases(field, rng):
+    one = HomogPoly(3, 0, {(0, 0, 0): field.of(1)}, field)
+    c = HomogPoly(3, 0, {(0, 0, 0): field.of(5)}, field)
+    f = random_form(field, 3, 3, rng)
+    return {
+        "zero": [(HomogPoly.zero(3, 2, field), f), (f, HomogPoly.zero(3, 4, field))],
+        "constants": [(c, c), (one, f), (f, c)],
+        "one-term": [(random_form(field, 3, 2, rng, 1), f), (f, random_form(field, 3, 5, rng, 1))],
+        # below and above 256 term pairs: 6 x 10 and 4 x 7; 28 x 10 and 20 x 20
+        "small": [(random_form(field, 3, 2, rng), f), (random_form(field, 4, 1, rng), random_form(field, 4, 2, rng, 7))],
+        "large": [(random_form(field, 3, 6, rng), f), (random_form(field, 4, 3, rng), random_form(field, 4, 3, rng))],
+        # every coefficient p - 1: the largest products, 120 x 45 and 165 x 165 term pairs
+        "all-minus-one": [(all_minus_one(field, 3, 14), all_minus_one(field, 3, 8)), (all_minus_one(field, 4, 8), all_minus_one(field, 4, 8))],
+    }
+
+
+@pytest.mark.parametrize("case", ["zero", "constants", "one-term", "small", "large", "all-minus-one"])
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_multiply_matches_term_by_term_product(field, case):
     rng = np.random.default_rng(5)
-    a = poly_from_vector(rng.integers(0, 32003, basis_size(3, 4)), 3, 4, GF32003)
-    b = poly_from_vector(rng.integers(0, 32003, basis_size(3, 3)), 3, 3, GF32003)
-    dense = multiply(a, b)  # big enough to take the dense path
-    out = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
-            out[m] = (out.get(m, 0) + c1 * c2) % 32003
-    expected = HomogPoly(3, 7, {m: c for m, c in out.items() if c}, GF32003)
-    assert dense == expected
+    for a, b in product_cases(field, rng)[case]:
+        out = {}
+        for m1, c1 in a.terms.items():
+            for m2, c2 in b.terms.items():
+                m = tuple(x + y for x, y in zip(m1, m2))
+                out[m] = field.of(out.get(m, 0) + c1 * c2)
+        expected = HomogPoly(a.num_vars, a.degree + b.degree, out, field)
+        assert multiply(a, b) == expected
+        assert np.array_equal(coefficient_vector(multiply(a, b)), coefficient_vector(expected))
+
+
+@pytest.mark.parametrize("p", [7, 32003, 8388593])
+def test_poly_from_vector_reduces_unreduced_entries(p):
+    field = PrimeField(p)
+    basis = monomial_basis(3, 2)
+    v = np.array([-1, p, p + 3, 0, 2 * p, -p - 2], dtype=np.int64)
+    f = poly_from_vector(v, 3, 2, field)
+    assert f.terms == {basis[0]: p - 1, basis[2]: 3, basis[5]: p - 2}
+    assert all(type(c) is int and 0 < c < p for c in f.terms.values())
 
 
 def test_homogeneity_enforced():

@@ -3,7 +3,7 @@ import pytest
 from stardefect.gradedideal import check_alternating_sum, GradedIdeal, ideals_equal
 from stardefect.linalg import GF32003
 from stardefect.monomial import star_monomial, symbolic_power_star
-from stardefect.points import random_general_lines, verify_power_identity
+from stardefect.points import random_general_lines
 from stardefect.poly import HomogPoly, parse_form
 from stardefect.stargeneral import (
     CertificationError,
@@ -15,6 +15,7 @@ from stardefect.stargeneral import (
     star_ideal,
     symbolic_power_star_general,
     verify_cube_decomposition_general,
+    verify_power_identity,
     verify_resolution_theorems,
     verify_square_decomposition_general,
 )
