@@ -12,6 +12,14 @@ when they reduce mod p and why every step is exact.  It needs
 PANEL*(p-1)**2 < 2**52, so the field constructor admits 5 <= p <= 8388593.
 A naive per-pivot reference implementation is kept alongside and used both
 for the rationals and as a test oracle.
+
+Before a GF(p) matrix of at least ``_SMALL_COMPRESS`` cells is eliminated,
+``_compress`` drops its zero columns, zero rows and exact repeats of earlier
+rows.  This is exact: a repeated or zero row adds nothing to the row space,
+and a zero column is zero in every vector of it, so it never holds a pivot
+and is a free column of every kernel.  ``echelon`` puts the kept columns
+back in place, so rank, pivots, the canonical RREF and kernels are those of
+the whole matrix.  Containment tests only the distinct nonzero rows.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ import numpy as np
 
 _PANEL = 64  # pivot block width for the BLAS-backed elimination
 _SMALL_MOD = 512  # np.remainder beats the floor quotient up to this many entries
+_SMALL_COMPRESS = 1 << 16  # matrices with fewer cells go to elimination as they are
+_BLOCK_CELLS = 1 << 20  # row comparisons and residuals run this many cells at a time
 
 
 def _is_prime(n: int) -> bool:
@@ -308,20 +318,86 @@ def _reduce_up_gfp(A: np.ndarray, pivots: list[int], p: int):
     return A
 
 
+def _row_weights(n: int) -> np.ndarray:
+    """Fixed int64 weights of n columns: the splitmix64 finalizer of 1..n."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> np.uint64(31))).view(np.int64)
+
+
+def _distinct_rows(M: np.ndarray) -> np.ndarray | None:
+    """Indices of the nonzero rows of M that repeat no earlier row, in order.
+
+    ``None`` when that is every row, or when M has fewer than
+    ``_SMALL_COMPRESS`` cells, which are left as they are.  Rows are
+    grouped by one wrapping int64 product with fixed weights, and a row is
+    dropped only if it equals its group's first row entry for entry, so a
+    hash collision can keep a row but never drop one.  Raw entries are
+    compared: a raw zero or repeated row is one mod p too, so unreduced
+    input needs no reduction first.
+    """
+    m = M.shape[0]
+    if M.size < _SMALL_COMPRESS:
+        return None
+    h = M @ _row_weights(M.shape[1])
+    _, lead, group = np.unique(h, return_index=True, return_inverse=True)
+    first = lead[group]  # the first row with the same hash
+    keep = first == np.arange(m)
+    later = np.flatnonzero(~keep)
+    step = max(1, _BLOCK_CELLS // M.shape[1])
+    for s in range(0, later.size, step):  # bounded copies for the comparison
+        rows = later[s : s + step]
+        keep[rows] = np.any(M[rows] != M[first[rows]], axis=1)
+    zero = np.flatnonzero(keep & (h == 0))  # a zero row hashes to 0
+    keep[zero] = np.any(M[zero], axis=1)
+    return None if keep.all() else np.flatnonzero(keep)
+
+
+def _compress(M: np.ndarray):
+    """M without its zero columns, zero rows and repeated rows: ``(C, cols)``.
+
+    ``cols`` are the kept column indices, or ``None`` when no column is
+    dropped; C is M itself, uncopied, when nothing is dropped.  C has the
+    row space of M with the zero columns left out.
+    """
+    if M.size < _SMALL_COMPRESS:
+        return M, None
+    rows = _distinct_rows(M)
+    cols = np.flatnonzero(M.any(axis=0))
+    if rows is not None:
+        M = M[rows]
+    if cols.size == M.shape[1]:
+        return M, None
+    return M[:, cols], cols
+
+
 def echelon(M: np.ndarray, field: Field, reduced: bool = True):
     """Row echelon form.
 
     Returns ``(rank, A, pivots)``; with ``reduced=True`` the first ``rank``
     rows of ``A`` are the canonical reduced row echelon basis of the row
-    space (unit pivots, zeros above and below each pivot).
+    space (unit pivots, zeros above and below each pivot).  With
+    ``reduced=False`` they are an echelon basis with the same pivots.
+
+    Over GF(p) the elimination runs on :func:`_compress` of M: without its
+    zero columns, zero rows and repeated rows.  Those rows add nothing to
+    the row space and those columns are zero in every vector of it, so the
+    kept columns, put back in place with zeros between them, give the same
+    rank, pivots and reduced basis.
     """
     if M.size == 0:
         return 0, M.copy(), ()
     if isinstance(field, PrimeField):
-        rank, A, pivots, _ = _echelon_gfp(M, field.p)
+        C, cols = _compress(M)
+        rank, A, pivots, _ = _echelon_gfp(C, field.p)
         if reduced and rank:
             _reduce_up_gfp(A, pivots, field.p)
         out = np.rint(A).astype(np.int64)
+        if cols is not None:
+            full = np.zeros((rank, M.shape[1]), dtype=np.int64)
+            full[:, cols] = out
+            out, pivots = full, cols[pivots].tolist()
         return rank, out, tuple(pivots)
     return _echelon_reference(M, field, reduced=reduced)
 
@@ -332,10 +408,11 @@ def rref(M: np.ndarray, field: Field):
 
 
 def rank(M: np.ndarray, field: Field) -> int:
+    """Rank of M.  Over GF(p) it is the rank of :func:`_compress` of M, which has the same row space."""
     if M.size == 0:
         return 0
     if isinstance(field, PrimeField):
-        return _echelon_gfp(M, field.p)[0]
+        return _echelon_gfp(_compress(M)[0], field.p)[0]
     return _echelon_reference(M, field, reduced=False)[0]
 
 
@@ -440,21 +517,37 @@ class Subspace:
     def residual_rows(self, V: np.ndarray) -> np.ndarray:
         """V minus its projection through the pivot coordinates.
 
-        A row of V lies in the subspace iff its residual row is zero.
+        A row of V lies in the subspace iff its residual row is zero.  Over
+        GF(p) the pivot entries of V are reduced before the product, so rows
+        with unreduced entries get an exact residual too.
         """
-        if self.dim == 0:
-            return V
-        proj = matmul_mod(V[:, list(self.pivots)], self.basis, self.field)
-        out = V - proj
-        if isinstance(self.field, PrimeField):
+        P = V[:, list(self.pivots)]
+        gfp = isinstance(self.field, PrimeField)
+        if gfp:
+            P = P % self.field.p
+        out = V - matmul_mod(P, self.basis, self.field)
+        if gfp:
             out %= self.field.p
         return out
 
     def contains_rows(self, V: np.ndarray) -> bool:
+        """Whether every row of V lies in the subspace.
+
+        Over GF(p) only the distinct nonzero rows of V are tested
+        (:func:`_distinct_rows`): a zero row lies in every subspace and a
+        repeated row with its first copy.  The columns all stay, as a
+        residual can be nonzero where V is zero.  The residual is formed
+        ``_BLOCK_CELLS`` cells at a time and the answer is False at the
+        first block with a nonzero entry, so memory is bounded by a block.
+        """
         if V.size == 0:
             return True
-        res = self.residual_rows(V)
-        return not np.any(res != 0)
+        if isinstance(self.field, PrimeField):
+            rows = _distinct_rows(V)
+            if rows is not None:
+                V = V[rows]
+        step = max(1, _BLOCK_CELLS // V.shape[1])
+        return not any(np.any(self.residual_rows(V[s : s + step])) for s in range(0, V.shape[0], step))
 
     def contains(self, v: np.ndarray) -> bool:
         if v.shape[-1] != self.ambient_dim:

@@ -11,6 +11,7 @@ the substitution transfer, where the variable count s may exceed n+1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -154,13 +155,15 @@ def _criterion_monomials(s: int, c: int, m: int) -> np.ndarray:
     return grid[np.sort(grid, axis=1)[:, :c].sum(axis=1) >= m]
 
 
+@lru_cache(maxsize=None)
 def uniform_symbolic_power(s: int, c: int, m: int) -> MonomialIdeal:
     """Minimal generators of the m-th symbolic power of the uniform star ideal.
 
     Enumerates exponent vectors with entries <= m (capping any larger
     exponent at m preserves the subset-sum criterion and divides the
     original), keeps those that meet the criterion, and minimalizes.  At
-    m = 0 only the zero vector is left: the unit ideal.
+    m = 0 only the zero vector is left: the unit ideal.  Cached: the result
+    is a frozen ideal with tuple generators, safe to share.
     """
     if not 1 <= c <= s:
         raise ValueError(f"need 1 <= c <= s, got c={c}, s={s}")

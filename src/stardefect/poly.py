@@ -217,12 +217,21 @@ def multiply(f: HomogPoly, g: HomogPoly) -> HomogPoly:
     [0, p) over GF(p)) and scattered onto the basis positions of their
     monomials with ``np.add.at``.  An entry sums at most min(#f, #g) of
     them, so over GF(p) every entry stays below min(#f, #g)·p, far inside
-    int64; ``poly_from_vector`` reduces the sums.
+    int64; ``poly_from_vector`` reduces the sums.  A degree-0 factor is a
+    constant and only scales the other factor, with no scatter; the
+    constant 1 returns the other factor itself.
     """
     if f.num_vars != g.num_vars:
         raise ValueError("variable count mismatch")
     if f.field != g.field:
         raise ValueError("field mismatch")
+    if g.degree == 0:
+        f, g = g, f
+    if f.degree == 0:
+        c = f.terms.get((0,) * f.num_vars, 0)
+        if c == 1:
+            return g
+        return HomogPoly(g.num_vars, g.degree, {m: g.field.of(c * v) for m, v in g.terms.items()}, g.field)
     nv, d = f.num_vars, f.degree + g.degree
     out = f.field.zeros((basis_size(nv, d),))
     fe, fc = f.term_arrays(out.dtype)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stardefect import linalg
 from stardefect.linalg import (
     GF32003,
     PrimeField,
     QQ,
     Subspace,
+    _compress,
     _echelon_reference,
     echelon,
     kernel_basis,
@@ -300,3 +302,96 @@ def test_back_pass_guard_keeps_high_ranks_exact():
     r0, R0, piv0 = _echelon_reference(M, field, reduced=True)
     r, R, piv = rref(M, field)
     assert (r, piv) == (r0, piv0) and np.array_equal(R[:r], R0[:r0])
+
+
+def _redundant(rng, rows, cols, p):
+    """A low-rank matrix with what compression drops and what it must keep.
+
+    Zero columns between the others, zero rows, exact repeats of earlier
+    rows, scalar multiples of rows, and unreduced entries up to 3p^2: a row
+    equal to another mod p but not as raw integers, and p^2 multiples added
+    to random cells.
+    """
+    r = int(rng.integers(1, min(rows, cols) // 2 + 1))
+    M = random_matrix(rng, rows, r, p) @ random_matrix(rng, r, cols, p) % p
+    M[:, rng.random(cols) < 0.4] = 0
+    src = rng.integers(0, rows, size=rows // 3)
+    M[rng.integers(0, rows, size=src.size)] = M[src]  # repeats
+    M[rng.integers(0, rows, size=rows // 8)] = 0  # zero rows
+    i, j = rng.integers(0, rows, size=2)
+    M[i] = 3 * M[j] % p  # a scalar multiple, kept as it is not equal
+    k, q = rng.integers(0, rows, size=2)
+    M[k] = M[q]
+    M[k, int(np.argmax(M[q]))] += p  # equal mod p, unequal raw
+    M += p * p * rng.integers(0, 3, size=M.shape) * (rng.random(M.shape) < 0.1)
+    return M
+
+
+def _contains_oracle(S, V, field):
+    """Whether every row of V lies in S, by reference ranks."""
+    both = np.concatenate([S.basis, V % field.p], axis=0)
+    return _echelon_reference(both, field, reduced=False)[0] == S.dim
+
+
+def _check_against_reference(M, field):
+    r0, R0, piv0 = _echelon_reference(M % field.p, field, reduced=True)
+    r, R, piv = rref(M, field)
+    assert (r, piv) == (r0, piv0) and np.array_equal(R[:r], R0[:r0])
+    r1, E, piv1 = echelon(M, field, reduced=False)
+    assert (r1, piv1) == (r0, piv0)
+    assert Subspace.from_rows(E[:r1], field) == Subspace.from_rows(R0[:r0], field)
+    assert rank(M, field) == r0
+    K = kernel_basis(M, field)
+    expected = _kernel_oracle(M % field.p, field)
+    assert K.shape == expected.shape and np.array_equal(K, expected)
+    S = Subspace.from_rows(M, field)
+    assert S.contains_rows(M)
+    outside = M.copy()
+    outside[-1, 0] += 1  # outside S unless e_0 lies in it
+    assert S.contains_rows(outside) == _contains_oracle(S, outside, field)
+    half = Subspace.from_rows(M[: M.shape[0] // 2], field)
+    assert half.contains_rows(M) == _contains_oracle(half, M, field)
+
+
+@pytest.mark.parametrize("p", [5, 32003, 8388593])
+def test_compressed_elimination_matches_reference(p, monkeypatch):
+    # compress every matrix, and form residuals a few rows at a time
+    monkeypatch.setattr(linalg, "_SMALL_COMPRESS", 0)
+    monkeypatch.setattr(linalg, "_BLOCK_CELLS", 64)
+    field = PrimeField(p)
+    rng = np.random.default_rng(p)
+    for _ in range(25):
+        M = _redundant(rng, int(rng.integers(4, 40)), int(rng.integers(2, 30)), p)
+        _check_against_reference(M, field)
+
+
+@pytest.mark.parametrize("weights", ["zero", "ones"])
+def test_compression_exact_under_hash_collisions(weights, monkeypatch):
+    # zero weights put every row in one group; unit weights group rows by
+    # their entry sums, so permuted rows collide without being equal
+    monkeypatch.setattr(linalg, "_SMALL_COMPRESS", 0)
+    value = {"zero": 0, "ones": 1}[weights]
+    monkeypatch.setattr(linalg, "_row_weights", lambda n: np.full(n, value, dtype=np.int64))
+    field = PrimeField(7)
+    rng = np.random.default_rng(3)
+    for _ in range(25):
+        M = _redundant(rng, int(rng.integers(4, 30)), int(rng.integers(2, 20)), 7)
+        M = np.concatenate([M, M[:, ::-1]], axis=0)  # reversed rows share the entry sum
+        _check_against_reference(M, field)
+
+
+def test_compression_drops_only_redundancy():
+    p = 32003
+    rng = np.random.default_rng(1)
+    M = np.zeros((300, 240), dtype=np.int64)  # above the size threshold
+    M[:100, ::2] = random_matrix(rng, 100, 120, p)
+    M[100:200] = M[:100]  # repeats
+    M[250] = 2 * M[3] % p  # a scalar multiple
+    M[251] = M[4]
+    M[251, 0] += p  # equal mod p, unequal raw
+    C, cols = _compress(M)
+    assert np.array_equal(cols, np.arange(0, 240, 2))
+    assert np.array_equal(C, np.concatenate([M[:100], M[250:252]])[:, ::2])
+    _check_against_reference(M, PrimeField(p))
+    same = random_matrix(rng, 300, 240, p)  # nothing to drop
+    assert _compress(same)[0] is same

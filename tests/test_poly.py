@@ -171,8 +171,8 @@ def product_cases(field, rng):
     c = HomogPoly(3, 0, {(0, 0, 0): field.of(5)}, field)
     f = random_form(field, 3, 3, rng)
     return {
-        "zero": [(HomogPoly.zero(3, 2, field), f), (f, HomogPoly.zero(3, 4, field))],
-        "constants": [(c, c), (one, f), (f, c)],
+        "zero": [(HomogPoly.zero(3, 2, field), f), (f, HomogPoly.zero(3, 4, field)), (HomogPoly.zero(3, 0, field), f)],
+        "constants": [(c, c), (one, f), (f, c), (f, one), (one, one)],
         "one-term": [(random_form(field, 3, 2, rng, 1), f), (f, random_form(field, 3, 5, rng, 1))],
         # below and above 256 term pairs: 6 x 10 and 4 x 7; 28 x 10 and 20 x 20
         "small": [(random_form(field, 3, 2, rng), f), (random_form(field, 4, 1, rng), random_form(field, 4, 2, rng, 7))],
