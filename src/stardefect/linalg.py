@@ -13,6 +13,14 @@ PANEL*(p-1)**2 < 2**52, so the field constructor admits 5 <= p <= 8388593.
 A naive per-pivot reference implementation is kept alongside and used both
 for the rationals and as a test oracle.
 
+Before the pivot loop, ``_echelon_gfp`` preselects pivot rows (F4-style):
+one row per distinct leading column is already an echelon block, the other
+rows are reduced against it by a blocked unit triangular solve, and only
+what is left of them is eliminated pivot by pivot.  It does so when the
+matrix has at least PANEL distinct leading columns, or at least half as
+many as nonzero rows.  The solve reduces after every PANEL-term product
+(``_dot_mod`` chunks longer ones), so it is exact up to p = 8388593 too.
+
 Before a GF(p) matrix of at least ``_SMALL_COMPRESS`` cells is eliminated,
 ``_compress`` drops its zero columns, zero rows and exact repeats of earlier
 rows.  This is exact: a repeated or zero row adds nothing to the row space,
@@ -212,7 +220,92 @@ def _unit_tri_inv(N: np.ndarray, p: int) -> np.ndarray:
 
 
 def _echelon_gfp(M: np.ndarray, p: int):
-    """Left-looking blocked row echelon over GF(p).
+    """Row echelon over GF(p): preselected pivot rows, then a blocked loop.
+
+    Each nonzero row's leading column is read off ``_PANEL`` columns at a
+    time, reducing mod p only the rows whose leading column is not found
+    yet.  The first row with each distinct leading column, scaled to a unit
+    leading entry, goes to S.  Sorted by leading column, S is already
+    echelon, and its columns P (the leading columns) form a unit upper
+    triangular U: Faugere's F4 preprocessing (JPAA 139, 1999).  The inverses
+    come from one vectorized Fermat power in int64, exact as
+    (p-1)**2 < 2**46.
+
+    The other nonzero rows T are reduced against S with no per-pivot loop:
+    X = T[:, P] U^-1 by a triangular solve over ``_PANEL``-column blocks,
+    then R = T[:, Q] - X S[:, Q] on the columns Q outside P.  This is exact
+    up to p = 8388593: a diagonal block of U is inverted by
+    ``_unit_tri_inv``, the products over earlier blocks and with S go
+    through ``_dot_mod``, and the product with a diagonal inverse sums at
+    most PANEL terms of size below (p-1)**2, under 2**52.  Only R goes
+    through the pivot loop of :func:`_eliminate`, and its pivots map back
+    through Q.  The rows of S and of R's echelon form have distinct leading
+    columns and span the row space, so merged by pivot column they are an
+    echelon basis of it with its pivot set.  S, X and R are converted from
+    M directly; no mod-p copy of all of M is made.
+
+    Preselection runs only when the matrix shows it pays: when there are at
+    least ``_PANEL`` distinct leading columns, or at least half as many as
+    nonzero rows.  Otherwise all of M goes to :func:`_eliminate`.
+
+    Returns ``(rank, E, pivots)``: E holds the echelon rows (unit pivots,
+    zeros below, not reduced above) with entries in [0, p), and ``pivots``
+    their pivot columns in increasing order.
+    """
+    m, n = M.shape
+    lead = np.full(m, -1)
+    todo = np.arange(m)  # rows whose leading column is not found yet
+    for c0 in range(0, n, _PANEL):
+        nz = _mod_p(M[todo, c0 : c0 + _PANEL].astype(np.float64), p) != 0
+        hit = nz.any(axis=1)
+        lead[todo[hit]] = c0 + nz[hit].argmax(axis=1)
+        todo = todo[~hit]
+        if not todo.size:
+            break
+    rows = np.flatnonzero(lead >= 0)
+    P, first = np.unique(lead[rows], return_index=True)
+    k = P.size
+    if k < _PANEL and 2 * k < rows.size:
+        return _eliminate(M, p)
+    S = _mod_p(M[rows[first]].astype(np.float64), p)
+    a = S[np.arange(k), P].astype(np.int64)
+    inv, e = np.ones(k, dtype=np.int64), p - 2  # inv = a**(p-2), square and multiply
+    while e:
+        if e & 1:
+            inv = inv * a % p
+        a = a * a % p
+        e >>= 1
+    S *= inv[:, None]
+    _mod_p(S, p)
+    Q = np.setdiff1d(np.arange(n), P)
+    others = np.delete(rows, first)
+    if not (others.size and Q.size):
+        return k, S, P.tolist()
+    X = _mod_p(M[np.ix_(others, P)].astype(np.float64), p)  # becomes T[:, P] U^-1
+    R = _mod_p(M[np.ix_(others, Q)].astype(np.float64), p)
+    for j0 in range(0, k, _PANEL):
+        J = P[j0 : j0 + _PANEL]
+        Y = X[:, j0 : j0 + _PANEL]
+        if j0:
+            Y -= _dot_mod(X[:, :j0], S[:j0, J], p)  # in (-p, p), safe for the product below
+        N = S[j0 : j0 + _PANEL, J]
+        np.fill_diagonal(N, 0.0)
+        Y[:] = _mod_p(Y @ _unit_tri_inv(N, p), p)
+    R -= _dot_mod(X, S[:, Q], p)  # in (-p, p); _eliminate reduces what it reads
+    del X
+    _, E2, piv2 = _eliminate(R, p)
+    if not piv2:
+        return k, S, P.tolist()
+    piv2 = Q[piv2]
+    pivots = np.sort(np.concatenate([P, piv2]))
+    E = np.zeros((pivots.size, n))
+    E[np.searchsorted(pivots, P)] = S
+    E[np.searchsorted(pivots, piv2)[:, None], Q] = E2
+    return pivots.size, E, pivots.tolist()
+
+
+def _eliminate(M: np.ndarray, p: int):
+    """Left-looking blocked row echelon over GF(p), one pivot at a time.
 
     Each block of ``_PANEL`` columns is brought up to date against earlier
     pivot rows with BLAS products (``_dot_mod``), then eliminated pivot by
@@ -223,9 +316,7 @@ def _echelon_gfp(M: np.ndarray, p: int):
     otherwise.  The inverse factor ``Linv`` that gives pivot rows their
     values in later blocks is built only when a later block exists.
 
-    Returns ``(rank, E, pivots, perm)``: E holds the echelon rows (unit
-    pivots, zeros below, not reduced above), ``perm`` maps current row
-    positions to original row indices.
+    Returns ``(rank, E, pivots)`` as :func:`_echelon_gfp` does.
     """
     m, ncols = M.shape
     rmax = min(m, ncols)
@@ -287,7 +378,7 @@ def _echelon_gfp(M: np.ndarray, p: int):
             N = _mod_p(d[:, None] * F[r : r + rr, r : r + rr], p)
             chunks.append((r, r + rr, _mod_p(_unit_tri_inv(N, p) * d, p)))
         r += rr
-    return r, E[:r], pivots, perm
+    return r, E[:r], pivots
 
 
 def _reduce_up_gfp(A: np.ndarray, pivots: list[int], p: int):
@@ -390,7 +481,7 @@ def echelon(M: np.ndarray, field: Field, reduced: bool = True):
         return 0, M.copy(), ()
     if isinstance(field, PrimeField):
         C, cols = _compress(M)
-        rank, A, pivots, _ = _echelon_gfp(C, field.p)
+        rank, A, pivots = _echelon_gfp(C, field.p)
         if reduced and rank:
             _reduce_up_gfp(A, pivots, field.p)
         out = np.rint(A).astype(np.int64)
@@ -417,9 +508,10 @@ def rank(M: np.ndarray, field: Field) -> int:
 
 
 def matmul_mod(A: np.ndarray, B: np.ndarray, field: Field) -> np.ndarray:
-    """Exact matrix product."""
+    """Exact matrix product.  Over GF(p) the entries must lie in [0, p);
+    a float64 operand is used as it is, without a copy."""
     if isinstance(field, PrimeField):
-        acc = _dot_mod(A.astype(np.float64), B.astype(np.float64), field.p)
+        acc = _dot_mod(A.astype(np.float64, copy=False), B.astype(np.float64, copy=False), field.p)
         return np.rint(acc).astype(np.int64)
     return A @ B
 
@@ -521,14 +613,7 @@ class Subspace:
         GF(p) the pivot entries of V are reduced before the product, so rows
         with unreduced entries get an exact residual too.
         """
-        P = V[:, list(self.pivots)]
-        gfp = isinstance(self.field, PrimeField)
-        if gfp:
-            P = P % self.field.p
-        out = V - matmul_mod(P, self.basis, self.field)
-        if gfp:
-            out %= self.field.p
-        return out
+        return _residual(V, self.basis, self.pivots, self.field)
 
     def contains_rows(self, V: np.ndarray) -> bool:
         """Whether every row of V lies in the subspace.
@@ -536,18 +621,22 @@ class Subspace:
         Over GF(p) only the distinct nonzero rows of V are tested
         (:func:`_distinct_rows`): a zero row lies in every subspace and a
         repeated row with its first copy.  The columns all stay, as a
-        residual can be nonzero where V is zero.  The residual is formed
-        ``_BLOCK_CELLS`` cells at a time and the answer is False at the
-        first block with a nonzero entry, so memory is bounded by a block.
+        residual can be nonzero where V is zero.  The basis is converted to
+        float64 once; the residual is formed ``_BLOCK_CELLS`` cells at a time
+        and the answer is False at the first block with a nonzero entry, so
+        beyond that one copy memory is bounded by a block.
         """
         if V.size == 0:
             return True
+        B = self.basis
         if isinstance(self.field, PrimeField):
             rows = _distinct_rows(V)
             if rows is not None:
                 V = V[rows]
+            B = B.astype(np.float64)
         step = max(1, _BLOCK_CELLS // V.shape[1])
-        return not any(np.any(self.residual_rows(V[s : s + step])) for s in range(0, V.shape[0], step))
+        blocks = (V[s : s + step] for s in range(0, V.shape[0], step))
+        return not any(np.any(_residual(b, B, self.pivots, self.field)) for b in blocks)
 
     def contains(self, v: np.ndarray) -> bool:
         if v.shape[-1] != self.ambient_dim:
@@ -582,6 +671,22 @@ class Subspace:
 
     def __hash__(self):
         return hash((self.field, self.ambient_dim, self.basis.tobytes() if isinstance(self.field, PrimeField) else self.dim))
+
+
+def _residual(V: np.ndarray, basis: np.ndarray, pivots, field: Field) -> np.ndarray:
+    """V minus the combination of the basis rows given by V's pivot entries.
+
+    Over GF(p) those entries are reduced first, as ``matmul_mod`` needs; the
+    basis may already be float64, which ``matmul_mod`` uses uncopied.
+    """
+    P = V[:, list(pivots)]
+    gfp = isinstance(field, PrimeField)
+    if gfp:
+        P = P % field.p
+    out = V - matmul_mod(P, basis, field)
+    if gfp:
+        out %= field.p
+    return out
 
 
 def _rref_pivots(R: np.ndarray) -> tuple[int, ...]:

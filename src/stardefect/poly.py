@@ -137,6 +137,15 @@ class HomogPoly:
             if c == 0:
                 del self.terms[m]
 
+    @classmethod
+    def _trusted(cls, num_vars: int, degree: int, terms: dict, field: Field) -> "HomogPoly":
+        """A form whose terms are known to be valid: every monomial has
+        ``num_vars`` exponents summing to ``degree``, and no coefficient is
+        zero.  The checks of ``__post_init__`` are skipped."""
+        f = cls.__new__(cls)
+        f.num_vars, f.degree, f.terms, f.field = num_vars, degree, terms, field
+        return f
+
     @staticmethod
     def zero(num_vars: int, degree: int, field: Field) -> "HomogPoly":
         return HomogPoly(num_vars, degree, {}, field)
@@ -299,14 +308,16 @@ def poly_from_vector(v: np.ndarray, num_vars: int, d: int, field: Field) -> Homo
 
     The entries are normalized by the field in one step, so any integer
     vector works over GF(p): entries come out reduced into [0, p), and the
-    ones divisible by p are dropped.
+    ones divisible by p are dropped.  The terms are basis monomials with
+    nonzero coefficients, valid by construction, so they are not checked
+    one by one.
     """
     basis = monomial_basis(num_vars, d)
     if len(v) != len(basis):
         raise ValueError("vector length does not match basis size")
     w = field.matrix(v)[0]
     nz = np.flatnonzero(w)
-    return HomogPoly(num_vars, d, dict(zip(map(basis.__getitem__, nz.tolist()), w[nz].tolist())), field)
+    return HomogPoly._trusted(num_vars, d, dict(zip(map(basis.__getitem__, nz.tolist()), w[nz].tolist())), field)
 
 
 # ---------------------------------------------------------------------------

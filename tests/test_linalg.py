@@ -395,3 +395,71 @@ def test_compression_drops_only_redundancy():
     _check_against_reference(M, PrimeField(p))
     same = random_matrix(rng, 300, 240, p)  # nothing to drop
     assert _compress(same)[0] is same
+
+
+def _led(rng, p, cols, leads, others, residual_rank):
+    """Rows with exactly ``leads`` distinct leading columns and a residual.
+
+    One row leads at each of ``leads`` columns, column 0 among them.  The
+    ``others`` rows lead at column 0: each is a combination of those rows
+    with a nonzero coefficient on the column-0 row, plus a vector from a
+    random space of rank ``residual_rank`` that vanishes at column 0, which
+    is what is left after reduction against the leading rows.  The rows are
+    shuffled and p^2 multiples added to random cells, zero cells too, so
+    entries reach 3p^2 and a raw nonzero can sit left of a leading column.
+    """
+    L = np.concatenate([[0], np.sort(rng.choice(np.arange(1, cols), leads - 1, replace=False))])
+    S = random_matrix(rng, leads, cols, p)
+    S[np.arange(cols)[None, :] < L[:, None]] = 0
+    S[np.arange(leads), L] = rng.integers(1, p, size=leads)
+    C = random_matrix(rng, others, leads, p)
+    C[:, 0] = rng.integers(1, p, size=others)
+    W = random_matrix(rng, others, residual_rank, p) @ random_matrix(rng, residual_rank, cols, p) % p
+    W[:, 0] = 0
+    M = np.concatenate([S, (C @ S + W) % p])[rng.permutation(leads + others)]
+    return M + p * p * rng.integers(0, 3, size=M.shape) * (rng.random(M.shape) < 0.1)
+
+
+# (columns, distinct leading columns, other rows, residual rank, preselected)
+PRESELECT_CASES = {
+    "many-leads": (120, 70, 150, 6, True),  # 70 >= _PANEL, under half the rows
+    "many-leads-compressed": (240, 80, 195, 9, True),  # 275 x 240 > _SMALL_COMPRESS cells
+    "full-coverage": (60, 40, 30, 0, True),  # every other row reduces to zero
+    "leads-only": (50, 45, 0, 0, True),  # nothing but leading rows
+    "half-rows": (50, 20, 20, 4, True),  # 20 leads, 40 nonzero rows: at the gate
+    "under-half-rows": (50, 20, 21, 4, False),  # 20 leads, 41 nonzero rows: the loop
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRESELECT_CASES))
+@pytest.mark.parametrize("p", [5, 32003, 8388593])
+def test_preselected_elimination_matches_reference(p, case, monkeypatch):
+    cols, leads, others, residual_rank, preselected = PRESELECT_CASES[case]
+    field = PrimeField(p)
+    M = _led(np.random.default_rng([p, cols, others]), p, cols, leads, others, residual_rank)
+    assert (M.size >= linalg._SMALL_COMPRESS) == (case == "many-leads-compressed")
+    seen = []
+    loop = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda A, q: seen.append(A.shape[0]) or loop(A, q))
+    assert rank(M, field) == _echelon_reference(M % p, field, reduced=False)[0] == leads + residual_rank
+    # the pivot loop sees only the other rows after preselection, all rows without it
+    expected = ([others] if others else []) if preselected else [leads + others]
+    assert seen == expected
+    _check_against_reference(M, field)
+
+
+def test_preselection_stays_exact_at_worst_case_growth():
+    # 161 leading rows [I | p - 2] and other rows c (their sum) for odd c
+    # near p, so the residual is zero; T[:, P] = c, and each residual entry
+    # is T[:, Q] minus a sum of 161 odd products near p**2, an odd integer
+    # above 2**53 that a plain float64 product rounds to a nonzero residual
+    p, k, q = 8388593, 161, 4
+    field = PrimeField(p)
+    S = np.concatenate([np.eye(k, dtype=np.int64), np.full((k, q), p - 2, dtype=np.int64)], axis=1)
+    T = (p - 2 * np.arange(1, 6))[:, None] * S.sum(axis=0) % p
+    M = np.concatenate([S, T])
+    assert k * (p - 10) * (p - 2) > 2**53
+    r0, R0, piv0 = _echelon_reference(M, field, reduced=True)
+    r, R, piv = rref(M, field)
+    assert r0 == k and (r, piv) == (r0, piv0) and np.array_equal(R[:r], R0[:r0])
+    assert rank(M, field) == k

@@ -214,6 +214,21 @@ def test_homogeneity_enforced():
         HomogPoly(3, 2, {(1, 0, 0): 1}, GF32003)
 
 
+def test_public_constructor_checks_terms_that_poly_from_vector_trusts():
+    # poly_from_vector skips the per-term checks; the public constructor
+    # still rejects a malformed term and drops a zero coefficient
+    with pytest.raises(ValueError, match="variable count"):
+        HomogPoly(3, 2, {(1, 1): 1}, GF32003)
+    with pytest.raises(ValueError, match="homogeneity"):
+        HomogPoly(3, 2, {(1, 1, 0): 1, (0, 0, 1): 2}, GF32003)
+    assert HomogPoly(3, 2, {(1, 1, 0): 0, (0, 2, 0): 5}, GF32003).terms == {(0, 2, 0): 5}
+    v = np.array([0, 7, 0, 32003, 2, -1], dtype=np.int64)
+    f = poly_from_vector(v, 3, 2, GF32003)
+    basis = monomial_basis(3, 2)
+    assert f == HomogPoly(3, 2, {m: GF32003.of(c) for m, c in zip(basis, v.tolist())}, GF32003)
+    assert f.terms == {basis[1]: 7, basis[4]: 2, basis[5]: 32002}
+
+
 def test_parser_rational_coefficients():
     f = parse_form("1/2*x0^2 - 3*x0*x1", QQ, num_vars=3)
     assert f.terms[(2, 0, 0)] == Fraction(1, 2)
