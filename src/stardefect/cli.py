@@ -337,6 +337,14 @@ DESK_SCALE_COLUMNS = 3100  # largest graded-piece width the dense engine takes o
 
 def verify_monomial_grid(n_max: int, m_max: int, field: PrimeField) -> dict:
     checks = []
+    sdefects: dict[tuple[int, int, int], int] = {}
+
+    def combinatorial(n: int, c: int, m: int) -> int:
+        """sdefect_star_monomial(n, c, m), computed once per cell of the report."""
+        if (n, c, m) not in sdefects:
+            sdefects[n, c, m] = sdefect_star_monomial(n, c, m)
+        return sdefects[n, c, m]
+
     for n in range(1, n_max + 1):
         for c in range(1, n + 1):
             for m in range(1, m_max + 1):
@@ -346,7 +354,7 @@ def verify_monomial_grid(n_max: int, m_max: int, field: PrimeField) -> dict:
                     verify_support_decomposition(n, c, m),
                     n=n, c=c, m=m,
                 )
-                got = sdefect_star_monomial(n, c, m)
+                got = combinatorial(n, c, m)
                 record(
                     checks,
                     "sdefect-one-iff-c2m2",
@@ -358,7 +366,7 @@ def verify_monomial_grid(n_max: int, m_max: int, field: PrimeField) -> dict:
                 record(
                     checks,
                     "square-sdefect-binomial",
-                    sdefect_star_monomial(n, c, 2) == comb(n + 1, c - 2),
+                    combinatorial(n, c, 2) == comb(n + 1, c - 2),
                     n=n, c=c,
                 )
             if c >= 3:
@@ -381,7 +389,7 @@ def verify_monomial_grid(n_max: int, m_max: int, field: PrimeField) -> dict:
                 record(
                     checks,
                     "oracle-equivalence",
-                    rep.total == sdefect_star_monomial(n, c, m),
+                    rep.total == combinatorial(n, c, m),
                     n=n, c=c, m=m, lab=rep.total,
                 )
     return {"ok": all(c["ok"] for c in checks), "checks": checks}

@@ -14,7 +14,7 @@ modules, one coefficient column per (generator, monomial) pair.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,15 +159,16 @@ class GradedIdeal:
             return True
         return self.graded_piece(f.degree).contains(coefficient_vector(f))
 
+    def _gen_rows_by_degree(self) -> list[tuple[int, np.ndarray]]:
+        """(d, coefficient rows of the degree-d generators), by increasing d."""
+        by_degree: dict[int, list[np.ndarray]] = {}
+        for g in self.gens:
+            by_degree.setdefault(g.degree, []).append(coefficient_vector(g))
+        return [(d, np.stack(vecs)) for d, vecs in sorted(by_degree.items())]
+
     def contains_ideal(self, other: "GradedIdeal") -> bool:
         """Whether every generator of other lies in this ideal, one check per degree."""
-        by_degree: dict[int, list[np.ndarray]] = {}
-        for g in other.gens:
-            by_degree.setdefault(g.degree, []).append(coefficient_vector(g))
-        return all(
-            self.graded_piece(d).contains_rows(np.stack(vecs))
-            for d, vecs in sorted(by_degree.items())
-        )
+        return all(self.graded_piece(d).contains_rows(rows) for d, rows in other._gen_rows_by_degree())
 
     def top_gen_degree(self) -> int:
         """The largest generator degree, or -1 for the zero ideal.
@@ -184,11 +185,15 @@ class GradedIdeal:
 
         mu_d = dim J_d - dim(R_1 J_{d-1}); the representatives are the
         earliest rows (in lex order of their leading monomials) of the
-        canonical piece basis that complete R_1 J_{d-1} inside J_d.  Degrees
-        above :meth:`top_gen_degree` are skipped: their count is 0.
+        canonical piece basis that complete R_1 J_{d-1} inside J_d.  With
+        G_d the given generators of degree d, J_d = R_1 J_{d-1} + span(G_d),
+        so mu_d = 0 where G_d is empty: only the degrees of given generators
+        are tested.  Each tested degree reads the same canonical pieces
+        J_{d-1} and J_d as a walk over every degree would, so the counts and
+        representatives are those of that walk.
         """
         ring = FreeModuleLayout(self.num_vars, (0,))
-        degrees = range(min(degree_bound, self.top_gen_degree()) + 1)
+        degrees = sorted({g.degree for g in self.gens if g.degree <= degree_bound})
         return {
             d: [poly_from_vector(piece.basis[q], self.num_vars, d, self.field) for q in kept]
             for d, piece, kept in _nakayama(ring, self.graded_piece, degrees, self.field)
@@ -251,22 +256,28 @@ def _complete_in_subspace(piece: Subspace, wrows: np.ndarray, field: Field) -> l
 def _nakayama(
     layout: FreeModuleLayout,
     piece_at: Callable[[int], Subspace],
-    degrees: range,
+    degrees: Iterable[int],
     field: Field,
     extra: Callable[[int], np.ndarray] | None = None,
 ) -> Iterator[tuple[int, Subspace, list[int]]]:
     """Nakayama completion of a graded submodule M of a free module, by degree.
 
     ``piece_at(d)`` is M_d, a subspace of the degree-d piece of ``layout``.
-    For each d in the consecutive ``degrees`` with M_d nonzero, the basis
+    For each d in the increasing ``degrees`` with M_d nonzero, the basis
     rows of M_d that greedily complete extra(d) + R_1 M_{d-1} inside M_d
     are kept, and ``(d, M_d, kept)`` is yielded when any is.  With no
     ``extra`` they are minimal generators of M in degree d; with extra(d)
     the basis of a submodule's degree-d piece, they count minimal
-    generators of the quotient.  M_{d-1} is zero below the first degree.
+    generators of the quotient.  ``degrees`` need not be consecutive: a
+    degree left out is one the caller knows counts 0.  M_{d-1} is the piece
+    tested last when that was degree d - 1; otherwise it is fetched through
+    ``piece_at(d - 1)`` before M_d (so a cache can build M_d from it), and
+    it is zero where the layout has no degree-(d - 1) piece.
     """
-    prev = Subspace.zero(layout.piece_dim(degrees.start - 1), field)
+    last, prev = None, None
     for d in degrees:
+        if last != d - 1:
+            prev = piece_at(d - 1) if layout.piece_dim(d - 1) else Subspace.zero(0, field)
         piece = piece_at(d)
         if piece.dim:
             rows = layout.shift_rows(prev.basis, d - 1, field)
@@ -275,7 +286,7 @@ def _nakayama(
             kept = _complete_in_subspace(piece, rows, field)
             if kept:
                 yield d, piece, kept
-        prev = piece
+        last, prev = d, piece
 
 
 def ideals_equal(J: GradedIdeal, K: GradedIdeal) -> bool:
@@ -288,18 +299,26 @@ def ideals_equal(J: GradedIdeal, K: GradedIdeal) -> bool:
 def sdefect(isym: GradedIdeal, ipow: GradedIdeal, degree_bound: int) -> SdefectReport:
     """Minimal generator counts of isym/ipow, degree by degree up to the bound.
 
-    mu_d = dim (isym)_d - dim((ipow)_d + R_1 (isym)_{d-1}).  The module is
-    generated by the images of the generators of isym, so mu_d = 0 above
-    ``isym.top_gen_degree()``; the loop stops there, and the counts are
-    exact through ``degree_bound``, which the report records.  The total is
-    the full sdefect whenever the bound reaches that ceiling.
+    mu_d = dim (isym)_d - dim((ipow)_d + R_1 (isym)_{d-1}).  With G_d the
+    given generators of isym in degree d, (isym)_d = R_1 (isym)_{d-1} +
+    span(G_d), so the quotient in degree d is spanned by the images of G_d,
+    and mu_d = 0 when G_d is empty or lies in (ipow)_d.  Only the degrees
+    <= ``degree_bound`` where some generator of isym is outside ipow are
+    tested, each with the same canonical pieces as a walk over every
+    degree, so the counts are that walk's.  In particular mu_d = 0 above
+    ``isym.top_gen_degree()``, and the counts are exact through
+    ``degree_bound``, which the report records.  The total is the full
+    sdefect whenever the bound reaches that ceiling.
     """
     if isym.num_vars != ipow.num_vars or isym.field != ipow.field:
         raise ValueError("ideals live in different rings")
     if not isym.contains_ideal(ipow):
         raise ValueError("power ideal is not contained in the symbolic power")
     ring = FreeModuleLayout(isym.num_vars, (0,))
-    degrees = range(min(degree_bound, isym.top_gen_degree()) + 1)
+    degrees = [
+        d for d, rows in isym._gen_rows_by_degree()
+        if d <= degree_bound and not ipow.graded_piece(d).contains_rows(rows)
+    ]
     steps = _nakayama(ring, isym.graded_piece, degrees, isym.field, extra=lambda d: ipow.graded_piece(d).basis)
     per_degree = {d: len(kept) for d, _, kept in steps}
     return SdefectReport(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -212,7 +212,8 @@ class HomogPoly:
         The two arrays list the terms in one order.  This is the only place
         a form's terms become arrays.
         """
-        exps = np.array(list(self.terms), dtype=np.int64).reshape(-1, self.num_vars)
+        t = len(self.terms)
+        exps = np.fromiter(chain.from_iterable(self.terms), np.int64, t * self.num_vars).reshape(t, self.num_vars)
         return exps, np.array(list(self.terms.values()), dtype=dtype)
 
     def __repr__(self):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stardefect import gradedideal
+from stardefect.cli import DESK_SCALE_COLUMNS
 from stardefect.linalg import GF32003, QQ, PrimeField, Subspace, _echelon_reference
 from stardefect.gradedideal import (
     BettiTable,
@@ -21,7 +23,9 @@ from stardefect.monomial import (
     star_monomial,
     symbolic_power_star,
 )
-from stardefect.poly import HomogPoly, parse_form
+from stardefect.points import ideal_of_points, power_ideal, random_general_points, sdefect_points, symbolic_power_points
+from stardefect.poly import HomogPoly, basis_size, coefficient_vector, parse_form
+from stardefect.stargeneral import random_star_config, star_ideal, symbolic_power_star_general
 
 
 def P(text, num_vars=3, field=GF32003):
@@ -301,3 +305,140 @@ def test_complete_in_subspace_matches_greedy_rank_oracle():
         coeffs = rng.integers(0, 7, size=(int(rng.integers(0, 2 * k + 1)), r)) @ rng.integers(0, 7, size=(r, k)) % 7
         wrows = coeffs @ piece.basis % 7
         assert _complete_in_subspace(piece, wrows, gf7) == _greedy_completion_oracle(coeffs, k, gf7)
+
+
+# -- Nakayama steps only where a generator can appear ------------------------
+
+def _every_degree_walk(J: GradedIdeal, top: int, extra=None) -> dict[int, np.ndarray]:
+    """Reference: a Nakayama step at every degree 0..top, each shifting the previous piece.
+
+    Returns the kept basis rows per degree; ``extra(d)`` is added to the
+    shifted rows as in :func:`sdefect`.
+    """
+    ring = FreeModuleLayout(J.num_vars, (0,))
+    prev = Subspace.zero(0, J.field)
+    out = {}
+    for d in range(top + 1):
+        piece = J.graded_piece(d)
+        if piece.dim:
+            rows = ring.shift_rows(prev.basis, d - 1, J.field)
+            if extra is not None:
+                rows = np.concatenate([extra(d), rows], axis=0)
+            kept = _complete_in_subspace(piece, rows, J.field)
+            if kept:
+                out[d] = piece.basis[kept]
+        prev = piece
+    return out
+
+
+def _fresh(J: GradedIdeal) -> GradedIdeal:
+    return GradedIdeal(J.num_vars, J.gens, J.field)
+
+
+def _assert_matches_every_degree_walk(isym: GradedIdeal, ipow: GradedIdeal, bound: int):
+    """sdefect counts and min_gens representatives equal the every-degree walk's."""
+    top = min(bound, isym.top_gen_degree())
+    ref_isym, ref_ipow = _fresh(isym), _fresh(ipow)
+    ref_counts = {
+        d: len(rows)
+        for d, rows in _every_degree_walk(ref_isym, top, lambda d: ref_ipow.graded_piece(d).basis).items()
+    }
+    assert sdefect(_fresh(isym), _fresh(ipow), bound).per_degree == ref_counts
+    ref_gens = _every_degree_walk(ref_isym, top)
+    got = _fresh(isym).min_gens(bound)
+    assert sorted(got) == sorted(ref_gens)
+    for d, reps in got.items():
+        assert np.array_equal(np.stack([coefficient_vector(g) for g in reps]), ref_gens[d])
+
+
+def _desk_scale_grid_cells():
+    for n in range(1, 6):
+        for c in range(1, n + 1):
+            for m in range(1, 4):
+                isym = symbolic_power_star(n, c, m)
+                ipow = star_monomial(n, c).power(m)
+                D = max(sum(g) for g in isym.gens + ipow.gens) + 1
+                if basis_size(n + 1, D) <= DESK_SCALE_COLUMNS:
+                    yield n, c, m
+
+
+@pytest.mark.parametrize("n,c,m", list(_desk_scale_grid_cells()))
+def test_grid_sdefect_matches_every_degree_walk(n, c, m):
+    isym = monomial_to_ideal(symbolic_power_star(n, c, m))
+    ipow = monomial_to_ideal(star_monomial(n, c).power(m))
+    D = max(g.degree for g in isym.gens + ipow.gens) + 1
+    _assert_matches_every_degree_walk(isym, ipow, D)
+
+
+@pytest.mark.parametrize("degrees,seed", [([1, 1, 1], 3), ([1, 1, 2], 7), ([1, 2, 2], 11), ([1, 1, 1, 1], 5), ([2, 2, 2], 2)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_random_star_sdefect_matches_every_degree_walk(degrees, seed, m):
+    cfg = random_star_config(3, 2, degrees, seed)
+    isym = symbolic_power_star_general(cfg, m)
+    ipow = power_ideal(star_ideal(cfg), m)
+    _assert_matches_every_degree_walk(isym, ipow, max(g.degree for g in isym.gens + ipow.gens))
+
+
+@pytest.mark.parametrize("s", [6, 8])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_points_sdefect_matches_every_degree_walk(s, m):
+    X = random_general_points(s, 1)
+    isym = symbolic_power_points(X, m)
+    ipow = power_ideal(ideal_of_points(X), m, max_degree=isym.top_gen_degree())
+    _assert_matches_every_degree_walk(isym, ipow, isym.top_gen_degree())
+    ref = _every_degree_walk(_fresh(isym), isym.top_gen_degree(), lambda d: _fresh(ipow).graded_piece(d).basis)
+    assert sdefect_points(X, m).per_degree == {d: len(rows) for d, rows in ref.items()}
+
+
+def test_redundant_generators_in_one_degree_match_every_degree_walk():
+    # degree 3: x0^3 and x0^2*x1 lie in R_1 J_2, x1^3 + x0*x2^2 does not
+    isym = ideal("x0^2", "x0*x1", "x0^2 + x0*x1", "x0^3", "x0^2*x1", "x1^3 + x0*x2^2", "x2^5")
+    assert isym.min_gens_counts(6) == {2: 2, 3: 1, 5: 1}
+    for ipow in (ideal("x0^2"), ideal("x0^3", "x0*x1^2"), ideal("x0^2", "x0*x1", "x2^5"), GradedIdeal(3, [], GF32003)):
+        for bound in range(7):
+            _assert_matches_every_degree_walk(isym, ipow, bound)
+
+
+def test_bound_below_top_generator_degree_matches_every_degree_walk():
+    isym = monomial_to_ideal(symbolic_power_star(3, 2, 3))
+    ipow = monomial_to_ideal(star_monomial(3, 2).power(3))
+    for bound in range(isym.top_gen_degree()):
+        _assert_matches_every_degree_walk(isym, ipow, bound)
+
+
+def test_degree_with_one_generator_in_ipow_and_one_outside_is_counted():
+    # both degree-2 generators of isym: x0^2 lies in ipow, x1^2 does not
+    for isym in (ideal("x0^2", "x1^2", "x0*x2^2"), ideal("x1^2", "x0^2", "x0*x2^2")):
+        ipow = ideal("x0^2", "x0*x2^2")
+        assert sdefect(isym, ipow, 3).per_degree == {2: 1}
+        _assert_matches_every_degree_walk(isym, ipow, 3)
+
+
+def _completion_degrees(monkeypatch, num_vars):
+    """Degrees at which _complete_in_subspace runs, read off each piece's width."""
+    degree_of = {basis_size(num_vars, d): d for d in range(40)}
+    seen = []
+    real = gradedideal._complete_in_subspace
+
+    def counting(piece, wrows, field):
+        seen.append(degree_of[piece.ambient_dim])
+        return real(piece, wrows, field)
+
+    monkeypatch.setattr(gradedideal, "_complete_in_subspace", counting)
+    return seen
+
+
+def test_sdefect_completes_only_where_a_generator_is_outside_ipow(monkeypatch):
+    isym = monomial_to_ideal(symbolic_power_star(5, 4, 3))
+    ipow = monomial_to_ideal(star_monomial(5, 4).power(3))
+    seen = _completion_degrees(monkeypatch, 6)
+    rep = sdefect(isym, ipow, max(g.degree for g in isym.gens + ipow.gens) + 1)
+    assert rep.total == sdefect_star_monomial(5, 4, 3)
+    assert seen == [5, 7]
+
+
+def test_min_gens_completes_only_at_generator_degrees(monkeypatch):
+    J = ideal("x0^2 + x1*x2", "x1^5 - x2^5", "x0*x2^4")
+    seen = _completion_degrees(monkeypatch, 3)
+    assert J.min_gens_counts(8) == {2: 1, 5: 2}
+    assert seen == [2, 5]
