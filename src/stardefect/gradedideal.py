@@ -14,7 +14,7 @@ modules, one coefficient column per (generator, monomial) pair.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,15 +106,17 @@ class GradedIdeal:
         """The ideal generated by Nakayama representatives of pieces 0..D.
 
         ``pieces`` maps every degree 0..D to a subspace M_d of R_d.  The
-        representatives of degree d complete R_1 M_{d-1} inside M_d, and
-        that containment is checked exactly, so the ideal they generate has
-        exactly these pieces through D, which are installed in its cache.
-        The caller certifies that no generator lies above D.
+        representatives of degree d complete R_1 M_{d-1}, spanned by the
+        shifted basis of M_{d-1}, inside M_d, and that containment is checked
+        exactly, so the ideal they generate has exactly these pieces through
+        D, which are installed in its cache.  The caller certifies that no
+        generator lies above D.
         """
         ring = FreeModuleLayout(num_vars, (0,))
+        steps = _shifted_steps(ring, ((d, pieces[d]) for d in range(len(pieces))), field)
         gens = [
             poly_from_vector(piece.basis[q], num_vars, d, field)
-            for d, piece, kept in _nakayama(ring, pieces.__getitem__, range(len(pieces)), field)
+            for d, piece, kept in _nakayama(steps, field)
             for q in kept
         ]
         J = cls(num_vars, gens, field)
@@ -127,21 +129,14 @@ class GradedIdeal:
     # -- graded pieces ------------------------------------------------------
 
     def graded_piece(self, d: int) -> Subspace:
-        """Canonical subspace of R_d spanned by the ideal, of dimension dim J_d."""
+        """Canonical subspace of R_d spanned by the ideal: the span of the
+        degree-d multiples of the generators, one elimination."""
         if d < 0:
             raise ValueError("degree must be non-negative")
-        if d in self._pieces:
-            return self._pieces[d]
-        if (d - 1) in self._pieces:
-            ring = FreeModuleLayout(self.num_vars, (0,))
-            shifted = ring.shift_rows(self._pieces[d - 1].basis, d - 1, self.field)
-            new = [g for g in self.gens if g.degree == d]
-            stacked = np.concatenate([shifted, multiples(self.num_vars, new, d, self.field)], axis=0)
-        else:
-            stacked = multiples(self.num_vars, self.gens, d, self.field)
-        piece = Subspace.from_rows(stacked, self.field, basis_size(self.num_vars, d))
-        self._pieces[d] = piece
-        return piece
+        if d not in self._pieces:
+            rows = multiples(self.num_vars, self.gens, d, self.field)
+            self._pieces[d] = Subspace.from_rows(rows, self.field, basis_size(self.num_vars, d))
+        return self._pieces[d]
 
     def hilbert_function(self, d: int) -> int:
         """dim R_d - dim J_d, the Hilbert function of the quotient ring."""
@@ -159,16 +154,14 @@ class GradedIdeal:
             return True
         return self.graded_piece(f.degree).contains(coefficient_vector(f))
 
-    def _gen_rows_by_degree(self) -> list[tuple[int, np.ndarray]]:
-        """(d, coefficient rows of the degree-d generators), by increasing d."""
-        by_degree: dict[int, list[np.ndarray]] = {}
-        for g in self.gens:
-            by_degree.setdefault(g.degree, []).append(coefficient_vector(g))
-        return [(d, np.stack(vecs)) for d, vecs in sorted(by_degree.items())]
+    def _multiples(self, d: int, of_degrees: range | tuple[int, ...]) -> np.ndarray:
+        """The degree-d multiples of the generators whose degree lies in of_degrees."""
+        return multiples(self.num_vars, [g for g in self.gens if g.degree in of_degrees], d, self.field)
 
     def contains_ideal(self, other: "GradedIdeal") -> bool:
         """Whether every generator of other lies in this ideal, one check per degree."""
-        return all(self.graded_piece(d).contains_rows(rows) for d, rows in other._gen_rows_by_degree())
+        degrees = sorted({g.degree for g in other.gens})
+        return all(self.graded_piece(d).contains_rows(other._multiples(d, (d,))) for d in degrees)
 
     def top_gen_degree(self) -> int:
         """The largest generator degree, or -1 for the zero ideal.
@@ -188,15 +181,16 @@ class GradedIdeal:
         canonical piece basis that complete R_1 J_{d-1} inside J_d.  With
         G_d the given generators of degree d, J_d = R_1 J_{d-1} + span(G_d),
         so mu_d = 0 where G_d is empty: only the degrees of given generators
-        are tested.  Each tested degree reads the same canonical pieces
-        J_{d-1} and J_d as a walk over every degree would, so the counts and
-        representatives are those of that walk.
+        are tested.  R_1 J_{d-1} is spanned by the degree-d multiples of the
+        generators of degree < d (:func:`multiples`), so no J_{d-1} is
+        formed, and the result, which depends only on J_d and that span, is
+        a walk's over every degree.
         """
-        ring = FreeModuleLayout(self.num_vars, (0,))
         degrees = sorted({g.degree for g in self.gens if g.degree <= degree_bound})
+        steps = ((d, self.graded_piece(d), self._multiples(d, range(d))) for d in degrees)
         return {
             d: [poly_from_vector(piece.basis[q], self.num_vars, d, self.field) for q in kept]
-            for d, piece, kept in _nakayama(ring, self.graded_piece, degrees, self.field)
+            for d, piece, kept in _nakayama(steps, self.field)
         }
 
     def min_gens_counts(self, degree_bound: int) -> dict[int, int]:
@@ -206,28 +200,36 @@ class GradedIdeal:
 def multiples(num_vars: int, forms: list[HomogPoly], d: int, field: Field) -> np.ndarray:
     """Rows basis(d - deg g) * g for each form g of degree <= d, stacked in order.
 
-    The one place where products of forms become coefficient rows of R_d.
+    The one place where products of forms become coefficient rows of R_d,
+    with one ``product_positions`` scatter per form degree.  The rows of
+    generators G of an ideal J span J_d; as R_1 R_{d-1-e} g = R_{d-e} g
+    for g of degree e < d, those of the generators of degree < d span
+    R_1 J_{d-1}.
     """
     forms = [g for g in forms if g.degree <= d]
     sizes = [basis_size(num_vars, d - g.degree) for g in forms]
+    starts = np.cumsum([0] + sizes[:-1])
     out = field.zeros((sum(sizes), basis_size(num_vars, d)))
-    start = 0
-    for g, n in zip(forms, sizes):
-        exps, coeffs = g.term_arrays(out.dtype)
-        _place_multiples(out[start : start + n], exps, coeffs, d - g.degree)
-        start += n
+    for e in sorted({g.degree for g in forms}):
+        which = [i for i, g in enumerate(forms) if g.degree == e]
+        exps, coeffs = zip(*(forms[i].term_arrays(out.dtype) for i in which))
+        rows = np.repeat(starts[which], [len(c) for c in coeffs])
+        _place_multiples(out, np.concatenate(exps), np.concatenate(coeffs), d - e, rows)
     return out
 
 
-def _place_multiples(out: np.ndarray, exps: np.ndarray, coeffs: np.ndarray, k: int, offset: int = 0):
-    """Write basis(k)[i] * (sum_t coeffs[t] x^exps[t]) into row i of out.
+def _place_multiples(
+    out: np.ndarray, exps: np.ndarray, coeffs: np.ndarray, k: int, row: int | np.ndarray = 0, col: int = 0
+):
+    """Write basis(k)[i] * coeffs[t] x^exps[t] into row row[t] + i of out.
 
-    ``exps`` are the exponent rows of one degree; the products land in the
-    columns of their degree's basis, shifted by offset.  One
-    ``product_positions`` call, one fancy-index assignment.
+    ``row`` is one start row for every term, or one per term; the terms of
+    one start row have distinct exponent rows, all of one degree.  The
+    products land in the columns of their degree's basis, shifted by col.
+    One ``product_positions`` call, one fancy-index assignment.
     """
     pos = product_positions(basis_exponents(exps.shape[1], k), exps)
-    out[np.arange(pos.shape[0])[:, None], offset + pos] = coeffs
+    out[row + np.arange(pos.shape[0])[:, None], col + pos] = coeffs
 
 
 def _complete_in_subspace(piece: Subspace, wrows: np.ndarray, field: Field) -> list[int]:
@@ -254,39 +256,31 @@ def _complete_in_subspace(piece: Subspace, wrows: np.ndarray, field: Field) -> l
 
 
 def _nakayama(
-    layout: FreeModuleLayout,
-    piece_at: Callable[[int], Subspace],
-    degrees: Iterable[int],
-    field: Field,
-    extra: Callable[[int], np.ndarray] | None = None,
+    steps: Iterable[tuple[int, Subspace, np.ndarray]], field: Field
 ) -> Iterator[tuple[int, Subspace, list[int]]]:
     """Nakayama completion of a graded submodule M of a free module, by degree.
 
-    ``piece_at(d)`` is M_d, a subspace of the degree-d piece of ``layout``.
-    For each d in the increasing ``degrees`` with M_d nonzero, the basis
-    rows of M_d that greedily complete extra(d) + R_1 M_{d-1} inside M_d
-    are kept, and ``(d, M_d, kept)`` is yielded when any is.  With no
-    ``extra`` they are minimal generators of M in degree d; with extra(d)
-    the basis of a submodule's degree-d piece, they count minimal
-    generators of the quotient.  ``degrees`` need not be consecutive: a
-    degree left out is one the caller knows counts 0.  M_{d-1} is the piece
-    tested last when that was degree d - 1; otherwise it is fetched through
-    ``piece_at(d - 1)`` before M_d (so a cache can build M_d from it), and
-    it is zero where the layout has no degree-(d - 1) piece.
+    Each step is ``(d, M_d, rows)``, where the caller's rows lie in M_d and
+    span R_1 M_{d-1}, plus N_d for a submodule N.  For each nonzero M_d the
+    basis rows of M_d that greedily complete span(rows) inside M_d are
+    kept, and ``(d, M_d, kept)`` is yielded when any is: minimal generators
+    of M in degree d, or of M/N.  A degree left out is one the caller knows
+    counts 0.
     """
-    last, prev = None, None
-    for d in degrees:
-        if last != d - 1:
-            prev = piece_at(d - 1) if layout.piece_dim(d - 1) else Subspace.zero(0, field)
-        piece = piece_at(d)
+    for d, piece, rows in steps:
         if piece.dim:
-            rows = layout.shift_rows(prev.basis, d - 1, field)
-            if extra is not None:
-                rows = np.concatenate([extra(d), rows], axis=0)
             kept = _complete_in_subspace(piece, rows, field)
             if kept:
                 yield d, piece, kept
-        last, prev = d, piece
+
+
+def _shifted_steps(layout: FreeModuleLayout, pieces: Iterable[tuple[int, Subspace]], field: Field) -> Iterator:
+    """Nakayama steps over consecutive degrees, from (d, M_d) pairs: the rows
+    are the basis of M_{d-1} times every variable, M zero below the first d."""
+    prev = Subspace.zero(0, field)
+    for d, piece in pieces:
+        yield d, piece, layout.shift_rows(prev.basis, d - 1, field)
+        prev = piece
 
 
 def ideals_equal(J: GradedIdeal, K: GradedIdeal) -> bool:
@@ -304,8 +298,10 @@ def sdefect(isym: GradedIdeal, ipow: GradedIdeal, degree_bound: int) -> SdefectR
     span(G_d), so the quotient in degree d is spanned by the images of G_d,
     and mu_d = 0 when G_d is empty or lies in (ipow)_d.  Only the degrees
     <= ``degree_bound`` where some generator of isym is outside ipow are
-    tested, each with the same canonical pieces as a walk over every
-    degree, so the counts are that walk's.  In particular mu_d = 0 above
+    tested.  R_1 (isym)_{d-1} is spanned by the degree-d multiples of the
+    generators of degree < d (:func:`multiples`), so no (isym)_{d-1} is
+    formed, and the counts, which depend only on the spans, are a walk's
+    over every degree.  In particular mu_d = 0 above
     ``isym.top_gen_degree()``, and the counts are exact through
     ``degree_bound``, which the report records.  The total is the full
     sdefect whenever the bound reaches that ceiling.
@@ -314,13 +310,13 @@ def sdefect(isym: GradedIdeal, ipow: GradedIdeal, degree_bound: int) -> SdefectR
         raise ValueError("ideals live in different rings")
     if not isym.contains_ideal(ipow):
         raise ValueError("power ideal is not contained in the symbolic power")
-    ring = FreeModuleLayout(isym.num_vars, (0,))
-    degrees = [
-        d for d, rows in isym._gen_rows_by_degree()
-        if d <= degree_bound and not ipow.graded_piece(d).contains_rows(rows)
-    ]
-    steps = _nakayama(ring, isym.graded_piece, degrees, isym.field, extra=lambda d: ipow.graded_piece(d).basis)
-    per_degree = {d: len(kept) for d, _, kept in steps}
+    degrees = sorted({g.degree for g in isym.gens if g.degree <= degree_bound})
+    degrees = [d for d in degrees if not ipow.graded_piece(d).contains_rows(isym._multiples(d, (d,)))]
+    steps = (
+        (d, isym.graded_piece(d), np.concatenate([ipow.graded_piece(d).basis, isym._multiples(d, range(d))]))
+        for d in degrees
+    )
+    per_degree = {d: len(kept) for d, _, kept in _nakayama(steps, isym.field)}
     return SdefectReport(
         per_degree=per_degree,
         total=sum(per_degree.values()),
@@ -389,7 +385,7 @@ class FreeModuleLayout:
                 nz = np.flatnonzero(comp)
                 if nz.size:
                     exps = basis_exponents(nv, a - b)[nz]
-                    _place_multiples(out[start : start + n], exps, comp[nz], j - a, off_j)
+                    _place_multiples(out[start : start + n], exps, comp[nz], j - a, col=off_j)
             start += n
         return out.T.copy()
 
@@ -445,11 +441,9 @@ def _module_min_gens_of_kernel(
     reps: list[tuple[int, np.ndarray]] = []
     counts: dict[int, int] = {}
 
-    def kernel_at(j: int) -> Subspace:
-        return Subspace.kernel(source.map_matrix(images, target, j, field), field)
-
     degrees = range(min(source.twists, default=0), degree_bound + 1)
-    for j, piece, kept in _nakayama(source, kernel_at, degrees, field):
+    kernels = ((j, Subspace.kernel(source.map_matrix(images, target, j, field), field)) for j in degrees)
+    for j, piece, kept in _nakayama(_shifted_steps(source, kernels, field), field):
         counts[j] = len(kept)
         reps.extend((j, piece.basis[q]) for q in kept)
     return reps, counts

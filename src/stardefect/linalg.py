@@ -584,9 +584,10 @@ class Subspace:
 
     @staticmethod
     def kernel(M: np.ndarray, field: Field) -> "Subspace":
-        """The right kernel {v : M v = 0}, held by its canonical basis."""
+        """The right kernel {v : M v = 0}, held by its canonical basis (RREF, no zero rows)."""
         K = kernel_basis(M, field)
-        return Subspace(field, M.shape[1], K, _rref_pivots(K))
+        pivots = tuple(np.argmax(K != 0, axis=1).tolist()) if K.size else ()
+        return Subspace(field, M.shape[1], K, pivots)
 
     @staticmethod
     def zero(ambient_dim: int, field: Field) -> "Subspace":
@@ -688,7 +689,3 @@ def _residual(V: np.ndarray, basis: np.ndarray, pivots, field: Field) -> np.ndar
         out %= field.p
     return out
 
-
-def _rref_pivots(R: np.ndarray) -> tuple[int, ...]:
-    """Pivot columns of a matrix in row echelon form without zero rows."""
-    return tuple(int(np.nonzero(row)[0][0]) for row in R)

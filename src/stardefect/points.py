@@ -154,12 +154,16 @@ class PointsProfile:
 
 
 def points_profile(X: PointSet) -> PointsProfile:
+    """alpha, reg(I_X) and HF(R/I_X) at 0..sigma + 1, one walk of sigma + 2 ranks."""
     s = len(X)
-    sigma = sigma_points(X)
-    hf = tuple(hilbert_function_points(X, d) for d in range(sigma + 2))
+    hf = []
+    while len(hf) < 2 or hf[-2] < s:
+        if len(hf) > 3 * s + 4:
+            raise RuntimeError("Hilbert function failed to stabilize (duplicate points?)")
+        hf.append(hilbert_function_points(X, len(hf)))
     alpha = next(d for d, v in enumerate(hf) if v < basis_size(3, d))
     generic = all(v == min(basis_size(3, d), s) for d, v in enumerate(hf))
-    return PointsProfile(alpha, sigma + 1, hf, generic)
+    return PointsProfile(alpha, len(hf) - 1, tuple(hf), generic)
 
 
 # ---------------------------------------------------------------------------

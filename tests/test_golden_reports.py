@@ -24,6 +24,10 @@ CASES = {
     "betti_points": ["betti", "--points", "random:s=5,seed=1", "--m", "2"],
     "hilbert_star": ["hilbert", "--star", STAR, "--m", "2"],
     "betti_star": ["betti", "--star", STAR, "--m", "2"],
+    "sdefect_points_s8": ["sdefect", "--points", "random:s=8,seed=1", "--m", "0..7"],
+    "sdefect_lines": ["sdefect", "--lines", "random:s=5,seed=3", "--m", "1..3"],
+    "sdefect_star_c2": ["sdefect", "--star", "random:degrees=[1,1,2,2],seed=7,c=2", "--m", "1..3"],
+    "hilbert_points_s10": ["hilbert", "--points", "random:s=10,seed=1", "--m", "4"],
 }
 
 

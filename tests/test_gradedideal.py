@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from stardefect.gradedideal import (
     check_alternating_sum,
     graded_betti,
     ideals_equal,
+    multiples,
     sdefect,
 )
 from stardefect.monomial import (
@@ -24,7 +27,7 @@ from stardefect.monomial import (
     symbolic_power_star,
 )
 from stardefect.points import ideal_of_points, power_ideal, random_general_points, sdefect_points, symbolic_power_points
-from stardefect.poly import HomogPoly, basis_size, coefficient_vector, parse_form
+from stardefect.poly import HomogPoly, basis_size, coefficient_vector, monomial_basis, multiply, parse_form
 from stardefect.stargeneral import random_star_config, star_ideal, symbolic_power_star_general
 
 
@@ -236,11 +239,11 @@ def test_monomial_star_square_betti_consistency():
 
 
 def test_piece_cache_inductive_consistency():
-    # force both construction routes and compare
+    # pieces asked for in ascending order and out of order agree
     J1 = ideal("x0*x1 - x2^2", "x1^3")
     J2 = ideal("x0*x1 - x2^2", "x1^3")
     for d in range(0, 7):
-        J1.graded_piece(d)  # inductive route (ascending)
+        J1.graded_piece(d)  # ascending
     for d in (6, 3, 5):
         J2._pieces.pop(d, None)
     assert J1.graded_piece(6) == J2.graded_piece(6)
@@ -442,3 +445,104 @@ def test_min_gens_completes_only_at_generator_degrees(monkeypatch):
     seen = _completion_degrees(monkeypatch, 3)
     assert J.min_gens_counts(8) == {2: 1, 5: 2}
     assert seen == [2, 5]
+
+
+# -- one construction for ideal pieces ---------------------------------------
+
+def _multiples_reference(num_vars, forms, d, field):
+    """Per-form reference: coefficient_vector(u * g) for each basis monomial u of degree d - deg g."""
+    rows = [
+        coefficient_vector(multiply(HomogPoly(num_vars, d - g.degree, {u: field.of(1)}, field), g))
+        for g in forms
+        if g.degree <= d
+        for u in monomial_basis(num_vars, d - g.degree)
+    ]
+    return np.stack(rows) if rows else field.zeros((0, basis_size(num_vars, d)))
+
+
+def _random_form(rng, num_vars, e, field):
+    """A form of degree e with one term or many, with nonzero coefficients (fractions over QQ)."""
+    monos = monomial_basis(num_vars, e)
+    picked = [monos[0]] if rng.integers(2) else list(monos)
+    if len(monos) > 1 and rng.integers(2):
+        picked = [monos[i] for i in rng.choice(len(monos), size=int(rng.integers(1, len(monos) + 1)), replace=False)]
+
+    def coeff():
+        if field == QQ:
+            return Fraction(int(rng.integers(1, 50)) * (-1) ** int(rng.integers(2)), int(rng.integers(1, 9)))
+        return field.of(int(rng.integers(1, field.p)))
+
+    return HomogPoly(num_vars, e, {m: coeff() for m in picked}, field)
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), GF32003, PrimeField(8388593), QQ], ids=str)
+def test_multiples_matches_per_form_products(field):
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        nv = int(rng.integers(1, 5))
+        d = int(rng.integers(0, 5))
+        # mixed degrees in random order, degree 0 and degrees above d included
+        forms = [_random_form(rng, nv, int(rng.integers(0, d + 3)), field) for _ in range(int(rng.integers(0, 6)))]
+        got = multiples(nv, forms, d, field)
+        ref = _multiples_reference(nv, forms, d, field)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+
+def test_multiples_stacks_row_blocks_in_the_order_of_the_forms():
+    # x1, 2, x0 + x2, x2^3: blocks of 3, 6 and 3 rows; the cubic is dropped
+    forms = [P("x1"), P("2"), P("x0 + x2"), P("x2^3")]
+    got = multiples(3, forms, 2, GF32003)
+    assert got.shape == (12, 6)
+    ref = np.concatenate([_multiples_reference(3, [g], 2, GF32003) for g in forms[:3]])
+    assert np.array_equal(got, ref)
+    assert np.array_equal(got[3:9], 2 * np.eye(6, dtype=np.int64))
+
+
+def _shift_route(J: GradedIdeal, d: int, below: Subspace) -> Subspace:
+    """The old construction, kept as an oracle: J_{d-1} times every variable, plus G_d."""
+    shifted = FreeModuleLayout(J.num_vars, (0,)).shift_rows(below.basis, d - 1, J.field)
+    new = multiples(J.num_vars, [g for g in J.gens if g.degree == d], d, J.field)
+    return Subspace.from_rows(np.concatenate([shifted, new]), J.field, basis_size(J.num_vars, d))
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), GF32003, QQ], ids=str)
+@pytest.mark.parametrize("seed", range(4))
+def test_graded_piece_matches_shift_route(field, seed):
+    rng = np.random.default_rng(seed)
+    nv = int(rng.integers(2, 5))
+    gens = [_random_form(rng, nv, int(rng.integers(1, 4)), field) for _ in range(int(rng.integers(1, 5)))]
+    J = GradedIdeal(nv, gens, field)
+    bound = J.top_gen_degree() + 2
+    ref = [Subspace.zero(0, field)]
+    for d in range(bound + 1):
+        ref.append(_shift_route(J, d, ref[-1]))
+    ref = ref[1:]
+    # every degree up to the bound, each asked of a fresh ideal and out of order
+    for d in rng.permutation(bound + 1):
+        assert GradedIdeal(nv, gens, field).graded_piece(int(d)) == ref[d]
+    # above the pieces installed by from_pieces
+    top = J.top_gen_degree()
+    K = GradedIdeal.from_pieces(nv, {d: ref[d] for d in range(top + 1)}, field)
+    below = ref[top]
+    for d in range(top + 1, top + 4):
+        below = _shift_route(K, d, below)
+        assert K.graded_piece(d) == below
+
+
+def test_sdefect_and_min_gens_ask_no_piece_below_a_tested_degree(monkeypatch):
+    isym = monomial_to_ideal(symbolic_power_star(5, 4, 3))
+    ipow = monomial_to_ideal(star_monomial(5, 4).power(3))
+    asked = []
+    real = isym.graded_piece
+    monkeypatch.setattr(isym, "graded_piece", lambda d: asked.append(d) or real(d))
+    sdefect(isym, ipow, isym.top_gen_degree() + 1)
+    # containment of ipow at its generator degree 9, then the tested degrees 5 and 7
+    assert {g.degree for g in ipow.gens} == {9}
+    assert asked == [9, 5, 7]
+    J = ideal("x0^2 + x1*x2", "x1^5 - x2^5", "x0*x2^4")
+    asked.clear()
+    real_j = J.graded_piece
+    monkeypatch.setattr(J, "graded_piece", lambda d: asked.append(d) or real_j(d))
+    assert J.min_gens_counts(8) == {2: 1, 5: 2}
+    assert asked == [2, 5]

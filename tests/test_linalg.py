@@ -63,6 +63,17 @@ def test_kernel_zero_matrix_full():
     assert K.shape[0] == 5
 
 
+@pytest.mark.parametrize("field", [PrimeField(7), GF32003, QQ], ids=str)
+def test_subspace_kernel_pivots_are_leading_columns(field):
+    rng = np.random.default_rng(3)
+    shapes = [(0, 4), (2, 0), (3, 3), (4, 7), (6, 5), (2, 9)]
+    for rows, cols in shapes:
+        M = field.matrix(rng.integers(0, 3, size=(rows, cols)).tolist()) if rows else field.zeros((0, cols))
+        S = Subspace.kernel(M, field)
+        ref = tuple(_echelon_reference(S.basis, field)[2])
+        assert S.pivots == ref and len(ref) == S.dim == cols - rank(M, field)
+
+
 def test_intersect_coordinate_subspaces():
     f = GF32003
     A = Subspace.from_rows(f.matrix([[1, 0, 0], [0, 1, 0]]), f)

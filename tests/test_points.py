@@ -265,6 +265,17 @@ def test_hf_monotone_and_stabilizes():
     assert vals[-1] == s == vals[-2]
 
 
+def test_points_profile_walks_to_one_past_sigma():
+    sets = [random_general_points(s, seed) for s, seed in [(1, 1), (3, 2), (6, 2), (10, 1)]]
+    sets.append(pts((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0)))  # collinear: HF 1, 2, 3, 4, 4
+    for X in sets:
+        sigma = sigma_points(X)
+        prof = points_profile(X)
+        assert prof.regularity == regularity_points(X) == sigma + 1
+        assert prof.hf == tuple(hilbert_function_points(X, d) for d in range(sigma + 2))
+    assert prof.hf == (1, 2, 3, 4, 4) and prof.alpha == 1 and not prof.is_generic_hf
+
+
 def test_certificate_travels_with_sample():
     X = random_general_points(5, 9)
     assert X.certificate is not None
