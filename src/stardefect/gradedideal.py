@@ -27,7 +27,6 @@ from .poly import (
     coefficient_vector,
     poly_from_vector,
     product_positions,
-    var_shift,
 )
 
 
@@ -107,16 +106,15 @@ class GradedIdeal:
 
         ``pieces`` maps every degree 0..D to a subspace M_d of R_d.  The
         representatives of degree d complete R_1 M_{d-1}, spanned by the
-        shifted basis of M_{d-1}, inside M_d, and that containment is checked
-        exactly, so the ideal they generate has exactly these pieces through
-        D, which are installed in its cache.  The caller certifies that no
-        generator lies above D.
+        degree-d multiples of the representatives kept below d, inside M_d,
+        and that containment is checked exactly, so the ideal they generate
+        has exactly these pieces through D, which are installed in its
+        cache.  The caller certifies that no generator lies above D.
         """
-        ring = FreeModuleLayout(num_vars, (0,))
-        steps = _shifted_steps(ring, ((d, pieces[d]) for d in range(len(pieces))), field)
+        steps = ((d, pieces[d], None) for d in range(len(pieces)))
         gens = [
             poly_from_vector(piece.basis[q], num_vars, d, field)
-            for d, piece, kept in _nakayama(steps, field)
+            for d, piece, kept in _nakayama(FreeModuleLayout(num_vars, (0,)), steps, field)
             for q in kept
         ]
         J = cls(num_vars, gens, field)
@@ -154,14 +152,14 @@ class GradedIdeal:
             return True
         return self.graded_piece(f.degree).contains(coefficient_vector(f))
 
-    def _multiples(self, d: int, of_degrees: range | tuple[int, ...]) -> np.ndarray:
-        """The degree-d multiples of the generators whose degree lies in of_degrees."""
-        return multiples(self.num_vars, [g for g in self.gens if g.degree in of_degrees], d, self.field)
+    def _multiples(self, d: int) -> np.ndarray:
+        """The rows of G_d, the generators of degree d."""
+        return multiples(self.num_vars, [g for g in self.gens if g.degree == d], d, self.field)
 
     def contains_ideal(self, other: "GradedIdeal") -> bool:
         """Whether every generator of other lies in this ideal, one check per degree."""
         degrees = sorted({g.degree for g in other.gens})
-        return all(self.graded_piece(d).contains_rows(other._multiples(d, (d,))) for d in degrees)
+        return all(self.graded_piece(d).contains_rows(other._multiples(d)) for d in degrees)
 
     def top_gen_degree(self) -> int:
         """The largest generator degree, or -1 for the zero ideal.
@@ -181,16 +179,16 @@ class GradedIdeal:
         canonical piece basis that complete R_1 J_{d-1} inside J_d.  With
         G_d the given generators of degree d, J_d = R_1 J_{d-1} + span(G_d),
         so mu_d = 0 where G_d is empty: only the degrees of given generators
-        are tested.  R_1 J_{d-1} is spanned by the degree-d multiples of the
-        generators of degree < d (:func:`multiples`), so no J_{d-1} is
-        formed, and the result, which depends only on J_d and that span, is
-        a walk's over every degree.
+        are tested.  The representatives kept below d generate J below d, so
+        R_1 J_{d-1} is spanned by their degree-d multiples (:func:`_nakayama`)
+        and no J_{d-1} is formed; the result, which depends only on J_d and
+        that span, is a walk's over every degree.
         """
         degrees = sorted({g.degree for g in self.gens if g.degree <= degree_bound})
-        steps = ((d, self.graded_piece(d), self._multiples(d, range(d))) for d in degrees)
+        steps = ((d, self.graded_piece(d), None) for d in degrees)
         return {
             d: [poly_from_vector(piece.basis[q], self.num_vars, d, self.field) for q in kept]
-            for d, piece, kept in _nakayama(steps, self.field)
+            for d, piece, kept in _nakayama(FreeModuleLayout(self.num_vars, (0,)), steps, self.field)
         }
 
     def min_gens_counts(self, degree_bound: int) -> dict[int, int]:
@@ -200,11 +198,10 @@ class GradedIdeal:
 def multiples(num_vars: int, forms: list[HomogPoly], d: int, field: Field) -> np.ndarray:
     """Rows basis(d - deg g) * g for each form g of degree <= d, stacked in order.
 
-    The one place where products of forms become coefficient rows of R_d,
-    with one ``product_positions`` scatter per form degree.  The rows of
-    generators G of an ideal J span J_d; as R_1 R_{d-1-e} g = R_{d-e} g
-    for g of degree e < d, those of the generators of degree < d span
-    R_1 J_{d-1}.
+    Products of forms become coefficient rows of R_d here, with one
+    ``product_positions`` scatter per form degree; the rows of the
+    generators of an ideal J span J_d.  :meth:`FreeModuleLayout.multiples`
+    places the multiples of coefficient rows of a free module the same way.
     """
     forms = [g for g in forms if g.degree <= d]
     sizes = [basis_size(num_vars, d - g.degree) for g in forms]
@@ -256,31 +253,31 @@ def _complete_in_subspace(piece: Subspace, wrows: np.ndarray, field: Field) -> l
 
 
 def _nakayama(
-    steps: Iterable[tuple[int, Subspace, np.ndarray]], field: Field
+    layout: FreeModuleLayout, steps: Iterable[tuple[int, Subspace, np.ndarray | None]], field: Field
 ) -> Iterator[tuple[int, Subspace, list[int]]]:
     """Nakayama completion of a graded submodule M of a free module, by degree.
 
-    Each step is ``(d, M_d, rows)``, where the caller's rows lie in M_d and
-    span R_1 M_{d-1}, plus N_d for a submodule N.  For each nonzero M_d the
-    basis rows of M_d that greedily complete span(rows) inside M_d are
-    kept, and ``(d, M_d, kept)`` is yielded when any is: minimal generators
-    of M in degree d, or of M/N.  A degree left out is one the caller knows
-    counts 0.
+    Each step is ``(d, M_d, N_d)``, in increasing degree, with M_d a piece
+    of ``layout`` and N_d None or a basis of the piece of a submodule N of
+    M.  At each step the rows spanning R_1 M_{d-1} are checked to lie in
+    M_d, also where M_d is zero, and the basis rows of M_d that greedily
+    complete N_d + R_1 M_{d-1} inside it are kept; ``(d, M_d, kept)`` is
+    yielded when any is: minimal generators of M in degree d, or of M/N.  A
+    degree left out is one the caller knows counts 0.  So the rows kept
+    below d generate M below d (modulo N), and N_d + R_1 M_{d-1} is spanned
+    by N_d and their degree-d multiples (:meth:`FreeModuleLayout.multiples`);
+    no M_{d-1} is formed.
     """
-    for d, piece, rows in steps:
-        if piece.dim:
+    reps: list[tuple[int, np.ndarray]] = []
+    for d, piece, sub in steps:
+        if piece.dim or reps:
+            rows = layout.multiples(reps, d, field)
+            if sub is not None:
+                rows = np.concatenate([sub, rows])
             kept = _complete_in_subspace(piece, rows, field)
             if kept:
+                reps.extend((d, piece.basis[q]) for q in kept)
                 yield d, piece, kept
-
-
-def _shifted_steps(layout: FreeModuleLayout, pieces: Iterable[tuple[int, Subspace]], field: Field) -> Iterator:
-    """Nakayama steps over consecutive degrees, from (d, M_d) pairs: the rows
-    are the basis of M_{d-1} times every variable, M zero below the first d."""
-    prev = Subspace.zero(0, field)
-    for d, piece in pieces:
-        yield d, piece, layout.shift_rows(prev.basis, d - 1, field)
-        prev = piece
 
 
 def ideals_equal(J: GradedIdeal, K: GradedIdeal) -> bool:
@@ -298,25 +295,23 @@ def sdefect(isym: GradedIdeal, ipow: GradedIdeal, degree_bound: int) -> SdefectR
     span(G_d), so the quotient in degree d is spanned by the images of G_d,
     and mu_d = 0 when G_d is empty or lies in (ipow)_d.  Only the degrees
     <= ``degree_bound`` where some generator of isym is outside ipow are
-    tested.  R_1 (isym)_{d-1} is spanned by the degree-d multiples of the
-    generators of degree < d (:func:`multiples`), so no (isym)_{d-1} is
-    formed, and the counts, which depend only on the spans, are a walk's
-    over every degree.  In particular mu_d = 0 above
-    ``isym.top_gen_degree()``, and the counts are exact through
-    ``degree_bound``, which the report records.  The total is the full
-    sdefect whenever the bound reaches that ceiling.
+    tested.  By induction, also across the degrees skipped, (isym)_{d-1} is
+    (ipow)_{d-1} plus the multiples of the representatives kept below d, so
+    (ipow)_d + R_1 (isym)_{d-1} is spanned by (ipow)_d and their degree-d
+    multiples (:func:`_nakayama`); no (isym)_{d-1} is formed, and the
+    counts, which depend only on the spans, are a walk's over every degree.
+    In particular mu_d = 0 above ``isym.top_gen_degree()``, and the counts
+    are exact through ``degree_bound``, which the report records.  The
+    total is the full sdefect whenever the bound reaches that ceiling.
     """
     if isym.num_vars != ipow.num_vars or isym.field != ipow.field:
         raise ValueError("ideals live in different rings")
     if not isym.contains_ideal(ipow):
         raise ValueError("power ideal is not contained in the symbolic power")
     degrees = sorted({g.degree for g in isym.gens if g.degree <= degree_bound})
-    degrees = [d for d in degrees if not ipow.graded_piece(d).contains_rows(isym._multiples(d, (d,)))]
-    steps = (
-        (d, isym.graded_piece(d), np.concatenate([ipow.graded_piece(d).basis, isym._multiples(d, range(d))]))
-        for d in degrees
-    )
-    per_degree = {d: len(kept) for d, _, kept in _nakayama(steps, isym.field)}
+    degrees = [d for d in degrees if not ipow.graded_piece(d).contains_rows(isym._multiples(d))]
+    steps = ((d, isym.graded_piece(d), ipow.graded_piece(d).basis) for d in degrees)
+    per_degree = {d: len(kept) for d, _, kept in _nakayama(FreeModuleLayout(isym.num_vars, (0,)), steps, isym.field)}
     return SdefectReport(
         per_degree=per_degree,
         total=sum(per_degree.values()),
@@ -347,47 +342,29 @@ class FreeModuleLayout:
                 off += basis_size(self.num_vars, j - a)
         return out
 
-    def shift_rows(self, rows: np.ndarray, j_from: int, field: Field) -> np.ndarray:
-        """Multiply elements of degree j_from by every variable."""
-        nv = self.num_vars
-        k = rows.shape[0]
-        out = field.zeros((nv * k, self.piece_dim(j_from + 1)))
-        offs_from = self.offsets(j_from)
-        offs_to = self.offsets(j_from + 1)
-        for comp, a in enumerate(self.twists):
-            if j_from < a:
-                continue
-            n = basis_size(nv, j_from - a)
-            block = rows[:, offs_from[comp] : offs_from[comp] + n]
-            for v in range(nv):
-                tgt = offs_to[comp] + var_shift(nv, j_from - a, v)
-                out[v * k : (v + 1) * k, tgt] = block
-        return out
+    def multiples(self, elements: list[tuple[int, np.ndarray]], j: int, field: Field) -> np.ndarray:
+        """Rows basis(j - e) * g for each element (e, g) with e <= j, stacked in order.
 
-    def map_matrix(self, images: list[np.ndarray], target: "FreeModuleLayout", j: int, field: Field) -> np.ndarray:
-        """Matrix of the map sending generator k to images[k], in degree j.
-
-        images[k] is a coefficient row of the target piece in degree deg_k.
-        Columns are indexed by (generator, monomial of degree j - deg_k)
-        pairs, the order of :meth:`piece_dim`; rows by the target piece.
+        g is a coefficient row of the degree-e piece.  The multiples of each
+        component of g land in that component of the degree-j piece, with
+        one ``_place_multiples`` per element degree and component.
         """
         nv = self.num_vars
-        out = field.zeros((self.piece_dim(j), target.piece_dim(j)))
-        start = 0
-        for a, image in zip(self.twists, images):
-            if j < a:
-                continue
-            n = basis_size(nv, j - a)
-            for b, off_a, off_j in zip(target.twists, target.offsets(a), target.offsets(j)):
-                if a < b:
+        elements = [(e, g) for e, g in elements if e <= j]
+        sizes = [basis_size(nv, j - e) for e, _ in elements]
+        starts = np.cumsum([0] + sizes[:-1])
+        out = field.zeros((sum(sizes), self.piece_dim(j)))
+        for e in sorted({e for e, _ in elements}):
+            which = [i for i, (f, _) in enumerate(elements) if f == e]
+            block = np.stack([elements[i][1] for i in which])
+            for a, off_e, off_j in zip(self.twists, self.offsets(e), self.offsets(j)):
+                if e < a:
                     continue
-                comp = image[off_a : off_a + basis_size(nv, a - b)]
-                nz = np.flatnonzero(comp)
-                if nz.size:
-                    exps = basis_exponents(nv, a - b)[nz]
-                    _place_multiples(out[start : start + n], exps, comp[nz], j - a, col=off_j)
-            start += n
-        return out.T.copy()
+                r, c = np.nonzero(block[:, off_e : off_e + basis_size(nv, e - a)])
+                if r.size:
+                    exps = basis_exponents(nv, e - a)[c]
+                    _place_multiples(out, exps, block[r, off_e + c], j - e, starts[which][r], off_j)
+        return out
 
 
 def graded_betti(J: GradedIdeal, homological_bound: int, degree_bound: int) -> BettiTable:
@@ -435,15 +412,21 @@ def _module_min_gens_of_kernel(
 ) -> tuple[list[tuple[int, np.ndarray]], dict[int, int]]:
     """Nakayama minimal generators of ker(source -> target), degree by degree.
 
-    Returns the chosen generator representatives as (degree, basis row of
-    the source piece) pairs together with the per-degree counts.
+    The map sends generator k of ``source`` to images[k], a coefficient row
+    of the target piece in its degree; in degree j its matrix has the
+    degree-j multiples of the images as columns.  Returns the chosen
+    generator representatives as (degree, basis row of the source piece)
+    pairs together with the per-degree counts.  R_1 K_{j-1} is spanned by
+    the multiples of the representatives kept below j (:func:`_nakayama`),
+    so each kernel K_j is formed once, on its own.
     """
     reps: list[tuple[int, np.ndarray]] = []
     counts: dict[int, int] = {}
 
     degrees = range(min(source.twists, default=0), degree_bound + 1)
-    kernels = ((j, Subspace.kernel(source.map_matrix(images, target, j, field), field)) for j in degrees)
-    for j, piece, kept in _nakayama(_shifted_steps(source, kernels, field), field):
+    elements = list(zip(source.twists, images))
+    kernels = ((j, Subspace.kernel(target.multiples(elements, j, field).T, field), None) for j in degrees)
+    for j, piece, kept in _nakayama(source, kernels, field):
         counts[j] = len(kept)
         reps.extend((j, piece.basis[q]) for q in kept)
     return reps, counts

@@ -401,15 +401,11 @@ def generic_double_hf(s: int, d: int) -> int:
 def _certify_generic(X: PointSet) -> dict | None:
     """Hilbert-function certificates for 'general position', or None on failure."""
     s = len(X)
-    # (a) generic HF of the points themselves
-    sigma_expected = next(d for d in range(3 * s + 4) if basis_size(3, d) >= s)
-    hf = []
-    for d in range(sigma_expected + 2):
-        v = hilbert_function_points(X, d)
-        hf.append(v)
-        if v != min(basis_size(3, d), s):
-            return None
-    cert = {"hf_points": hf, "hf_generic": True}
+    # (a) generic HF of the points themselves, read off their profile
+    prof = points_profile(X)
+    if not prof.is_generic_hf:
+        return None
+    cert = {"hf_points": list(prof.hf), "hf_generic": True}
     # (b) double points against the interpolation count (skip s = 2: no formula)
     if s != 2:
         d2 = next(d for d in range(3 * s + 4) if basis_size(3, d) >= 3 * s)

@@ -112,13 +112,6 @@ def product_positions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return rank_exponents(prods.reshape(-1, a.shape[1])).reshape(a.shape[0], b.shape[0])
 
 
-@lru_cache(maxsize=None)
-def var_shift(num_vars: int, d: int, j: int) -> np.ndarray:
-    """Index map: basis(d) position i -> basis(d+1) position of x_j * basis(d)[i]."""
-    unit = np.eye(num_vars, dtype=np.int64)[j : j + 1]
-    return product_positions(basis_exponents(num_vars, d), unit)[:, 0]
-
-
 @dataclass
 class HomogPoly:
     """A homogeneous polynomial: sparse terms over a fixed field."""

@@ -26,8 +26,24 @@ from stardefect.monomial import (
     star_monomial,
     symbolic_power_star,
 )
-from stardefect.points import ideal_of_points, power_ideal, random_general_points, sdefect_points, symbolic_power_points
-from stardefect.poly import HomogPoly, basis_size, coefficient_vector, monomial_basis, multiply, parse_form
+from stardefect.points import (
+    ideal_of_points,
+    power_ideal,
+    random_general_points,
+    regularity_points,
+    sdefect_points,
+    symbolic_power_pieces,
+    symbolic_power_points,
+)
+from stardefect.poly import (
+    HomogPoly,
+    basis_size,
+    coefficient_vector,
+    monomial_basis,
+    multiply,
+    parse_form,
+    poly_from_vector,
+)
 from stardefect.stargeneral import random_star_config, star_ideal, symbolic_power_star_general
 
 
@@ -148,6 +164,13 @@ def test_from_pieces_rejects_pieces_of_no_ideal():
         GradedIdeal.from_pieces(3, pieces, GF32003)
 
 
+def test_from_pieces_rejects_a_zero_piece_above_a_nonzero_one():
+    # x0 spans degree 1, so no ideal has a zero piece in degree 2
+    pieces = {0: Subspace.zero(1, GF32003), 1: ideal("x0").graded_piece(1), 2: Subspace.zero(6, GF32003)}
+    with pytest.raises(ArithmeticError):
+        GradedIdeal.from_pieces(3, pieces, GF32003)
+
+
 def test_sdefect_over_zero_ideal_counts_min_gens():
     J = ideal("x0^2", "x0*x1", "x0^3", "x1^3 + x2^3", "x0*x2^2")
     rep = sdefect(J, GradedIdeal(3, [], GF32003), 6)
@@ -256,6 +279,22 @@ def test_betti_table_display_and_json():
     assert t.to_json() == {"betti": [{"i": 0, "j": 2, "rank": 2}, {"i": 1, "j": 4, "rank": 1}]}
 
 
+def _shift_rows(layout: FreeModuleLayout, rows: np.ndarray, j_from: int, field) -> np.ndarray:
+    """Reference: elements of degree j_from times every variable, block v holding x_v * rows."""
+    nv, k = layout.num_vars, rows.shape[0]
+    out = field.zeros((nv * k, layout.piece_dim(j_from + 1)))
+    offs_from, offs_to = layout.offsets(j_from), layout.offsets(j_from + 1)
+    for comp, a in enumerate(layout.twists):
+        if j_from < a:
+            continue
+        index = {u: i for i, u in enumerate(monomial_basis(nv, j_from + 1 - a))}
+        for i, u in enumerate(monomial_basis(nv, j_from - a)):
+            for v in range(nv):
+                tgt = offs_to[comp] + index[tuple(x + (w == v) for w, x in enumerate(u))]
+                out[v * k : (v + 1) * k, tgt] = rows[:, offs_from[comp] + i]
+    return out
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10**6))
 def test_piece_growth_and_nonnegative_mu(seed):
@@ -276,7 +315,7 @@ def test_piece_growth_and_nonnegative_mu(seed):
         piece = J.graded_piece(d)
         nxt = J.graded_piece(d + 1)
         if piece.dim:
-            shifted = FreeModuleLayout(3, (0,)).shift_rows(piece.basis, d, GF32003)
+            shifted = _shift_rows(FreeModuleLayout(3, (0,)), piece.basis, d, GF32003)
             assert nxt.dim >= rank(shifted, GF32003)
     for d, reps in J.min_gens(6).items():
         assert len(reps) > 0
@@ -312,26 +351,30 @@ def test_complete_in_subspace_matches_greedy_rank_oracle():
 
 # -- Nakayama steps only where a generator can appear ------------------------
 
-def _every_degree_walk(J: GradedIdeal, top: int, extra=None) -> dict[int, np.ndarray]:
-    """Reference: a Nakayama step at every degree 0..top, each shifting the previous piece.
+def _shift_walk(layout: FreeModuleLayout, pieces, field, extra=None) -> dict[int, np.ndarray]:
+    """Reference: a Nakayama step at every degree of consecutive (d, M_d) pairs, each shifting the previous piece.
 
     Returns the kept basis rows per degree; ``extra(d)`` is added to the
     shifted rows as in :func:`sdefect`.
     """
-    ring = FreeModuleLayout(J.num_vars, (0,))
-    prev = Subspace.zero(0, J.field)
+    prev = Subspace.zero(0, field)
     out = {}
-    for d in range(top + 1):
-        piece = J.graded_piece(d)
+    for d, piece in pieces:
         if piece.dim:
-            rows = ring.shift_rows(prev.basis, d - 1, J.field)
+            rows = _shift_rows(layout, prev.basis, d - 1, field)
             if extra is not None:
                 rows = np.concatenate([extra(d), rows], axis=0)
-            kept = _complete_in_subspace(piece, rows, J.field)
+            kept = _complete_in_subspace(piece, rows, field)
             if kept:
                 out[d] = piece.basis[kept]
         prev = piece
     return out
+
+
+def _every_degree_walk(J: GradedIdeal, top: int, extra=None) -> dict[int, np.ndarray]:
+    """Reference: the shift walk over J_0..J_top."""
+    pieces = ((d, J.graded_piece(d)) for d in range(top + 1))
+    return _shift_walk(FreeModuleLayout(J.num_vars, (0,)), pieces, J.field, extra)
 
 
 def _fresh(J: GradedIdeal) -> GradedIdeal:
@@ -501,7 +544,7 @@ def test_multiples_stacks_row_blocks_in_the_order_of_the_forms():
 
 def _shift_route(J: GradedIdeal, d: int, below: Subspace) -> Subspace:
     """The old construction, kept as an oracle: J_{d-1} times every variable, plus G_d."""
-    shifted = FreeModuleLayout(J.num_vars, (0,)).shift_rows(below.basis, d - 1, J.field)
+    shifted = _shift_rows(FreeModuleLayout(J.num_vars, (0,)), below.basis, d - 1, J.field)
     new = multiples(J.num_vars, [g for g in J.gens if g.degree == d], d, J.field)
     return Subspace.from_rows(np.concatenate([shifted, new]), J.field, basis_size(J.num_vars, d))
 
@@ -546,3 +589,169 @@ def test_sdefect_and_min_gens_ask_no_piece_below_a_tested_degree(monkeypatch):
     monkeypatch.setattr(J, "graded_piece", lambda d: asked.append(d) or real_j(d))
     assert J.min_gens_counts(8) == {2: 1, 5: 2}
     assert asked == [2, 5]
+
+
+# -- one Nakayama walk: R_1 M_{d-1} from the multiples of the kept rows ------
+
+def _layout_multiples_reference(layout: FreeModuleLayout, elements, j, field):
+    """Per-element reference: for each basis monomial u of degree j - e, u * g component by component."""
+    nv = layout.num_vars
+    rows = []
+    for e, g in elements:
+        if e > j:
+            continue
+        for u in monomial_basis(nv, j - e):
+            mono = HomogPoly(nv, j - e, {u: field.of(1)}, field)
+            parts = []
+            for a, off in zip(layout.twists, layout.offsets(e)):
+                if j < a:
+                    continue
+                comp = poly_from_vector(g[off : off + basis_size(nv, e - a)], nv, e - a, field) if e >= a else None
+                if comp is None or comp.is_zero:
+                    parts.append(field.zeros((basis_size(nv, j - a),)))
+                else:
+                    parts.append(coefficient_vector(multiply(mono, comp)))
+            rows.append(np.concatenate(parts) if parts else field.zeros((0,)))
+    return np.stack(rows) if rows else field.zeros((0, layout.piece_dim(j)))
+
+
+def _random_element(rng, layout: FreeModuleLayout, e, field):
+    """A coefficient row of the degree-e piece; each component a random form or zero."""
+    parts = [
+        field.zeros((basis_size(layout.num_vars, e - a),))
+        if rng.integers(3) == 0
+        else coefficient_vector(_random_form(rng, layout.num_vars, e - a, field))
+        for a in layout.twists
+        if e >= a
+    ]
+    return np.concatenate(parts) if parts else field.zeros((0,))
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), GF32003, PrimeField(8388593), QQ], ids=str)
+def test_layout_multiples_match_per_element_products(field):
+    rng = np.random.default_rng(15)
+    for _ in range(40):
+        nv = int(rng.integers(1, 4))
+        # several twists, unsorted and repeated; elements below a twist, at it and above j
+        layout = FreeModuleLayout(nv, tuple(int(a) for a in rng.integers(0, 4, size=int(rng.integers(1, 4)))))
+        j = int(rng.integers(0, 6))
+        elements = []
+        for _ in range(int(rng.integers(0, 5))):
+            e = int(rng.integers(0, j + 3))
+            elements.append((e, _random_element(rng, layout, e, field)))
+        got = layout.multiples(elements, j, field)
+        ref = _layout_multiples_reference(layout, elements, j, field)
+        assert got.dtype == ref.dtype and got.shape == ref.shape == (len(ref), layout.piece_dim(j))
+        assert np.array_equal(got, ref)
+
+
+def test_layout_multiples_stack_row_blocks_in_the_order_of_the_elements():
+    layout = FreeModuleLayout(3, (2, 0))
+    rng = np.random.default_rng(3)
+    elements = [(e, _random_element(rng, layout, e, GF32003)) for e in (3, 1, 5, 1, 2)]
+    got = layout.multiples(elements, 3, GF32003)
+    # blocks of 1, 6, 6 and 3 rows; the element of degree 5 > 3 is dropped
+    assert got.shape == (16, layout.piece_dim(3))
+    blocks = [_layout_multiples_reference(layout, [el], 3, GF32003) for el in elements if el[0] <= 3]
+    assert [len(b) for b in blocks] == [1, 6, 6, 3]
+    assert np.array_equal(got, np.concatenate(blocks))
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), GF32003, QQ], ids=str)
+def test_layout_multiples_on_the_ring_are_the_multiples_of_forms(field):
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        nv = int(rng.integers(1, 5))
+        d = int(rng.integers(0, 5))
+        forms = [_random_form(rng, nv, int(rng.integers(0, d + 3)), field) for _ in range(int(rng.integers(0, 6)))]
+        elements = [(g.degree, coefficient_vector(g)) for g in forms]
+        assert np.array_equal(FreeModuleLayout(nv, (0,)).multiples(elements, d, field), multiples(nv, forms, d, field))
+
+
+@pytest.mark.parametrize("s", range(3, 11))
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_from_pieces_generators_match_shift_walk(s, m):
+    X = random_general_points(s, 1)
+    pieces = symbolic_power_pieces(X, m, m * regularity_points(X))
+    ref = _shift_walk(FreeModuleLayout(3, (0,)), sorted(pieces.items()), X.field)
+    J = GradedIdeal.from_pieces(3, pieces, X.field)
+    assert [g.degree for g in J.gens] == [d for d in sorted(ref) for _ in ref[d]]
+    for d, rows in ref.items():
+        assert np.array_equal(np.stack([coefficient_vector(g) for g in J.gens if g.degree == d]), rows)
+
+
+def _kernel_shift_walk(source: FreeModuleLayout, images, target: FreeModuleLayout, bound, field):
+    """Reference syzygy walk: kernels of the per-element product matrices, each step shifting K_{j-1}."""
+    elements = list(zip(source.twists, images))
+    kernels = (
+        (j, Subspace.kernel(_layout_multiples_reference(target, elements, j, field).T, field))
+        for j in range(min(source.twists), bound + 1)
+    )
+    return _shift_walk(source, kernels, field)
+
+
+def _assert_kernel_walk_matches(source, images, target, bound, field):
+    """Counts and representatives of _module_min_gens_of_kernel equal the shift walk's."""
+    reps, counts = gradedideal._module_min_gens_of_kernel(source, images, target, bound, field)
+    ref = _kernel_shift_walk(source, images, target, bound, field)
+    assert counts == {j: len(rows) for j, rows in ref.items()}
+    assert [j for j, _ in reps] == [j for j in sorted(ref) for _ in ref[j]]
+    for j, rows in ref.items():
+        assert np.array_equal(np.stack([row for i, row in reps if i == j]), rows)
+    return reps, counts
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), GF32003, QQ], ids=str)
+@pytest.mark.parametrize("seed", range(4))
+def test_graded_betti_matches_shift_walk(field, seed):
+    rng = np.random.default_rng(200 + seed)
+    # three to five forms of degrees 1..3: most tables have second syzygies
+    gens = [_random_form(rng, 3, int(rng.integers(1, 4)), field) for _ in range(int(rng.integers(3, 6)))]
+    J = GradedIdeal(3, gens, field)
+    bound = J.top_gen_degree() + 3
+    by_degree = J.min_gens(bound)
+    mins = [g for d in sorted(by_degree) for g in by_degree[d]]
+    f0 = FreeModuleLayout(3, tuple(g.degree for g in mins))
+    reps1, beta1 = _assert_kernel_walk_matches(f0, [coefficient_vector(g) for g in mins], FreeModuleLayout(3, (0,)), bound, field)
+    f1 = FreeModuleLayout(3, tuple(j for j, _ in reps1))
+    _, beta2 = _assert_kernel_walk_matches(f1, [row for _, row in reps1], f0, bound, field) if reps1 else (None, {})
+    table = graded_betti(J, 2, bound)
+    assert table.row(1) == beta1 and table.row(2) == beta2
+
+
+@pytest.mark.parametrize("square", [False, True], ids=["star", "star-squared"])
+def test_kernel_walk_spans_r1_by_multiples_of_kept_representatives(monkeypatch, square):
+    # rows handed to the completion at kernel degree j: sum of dim R_{j-e} over the kept
+    # representatives (e), not nv * dim K_{j-1} as when the previous kernel was shifted
+    cfg = random_star_config(3, 2, [1, 1, 2, 2], 7)
+    J = power_ideal(star_ideal(cfg), 2) if square else star_ideal(cfg)
+    bound = 2 * cfg.total_degree
+    walks = []
+    real_walk, real_complete = gradedideal._module_min_gens_of_kernel, gradedideal._complete_in_subspace
+
+    def walk(source, images, target, degree_bound, field):
+        walks.append((source, []))
+        return real_walk(source, images, target, degree_bound, field)
+
+    def complete(piece, wrows, field):
+        kept = real_complete(piece, wrows, field)
+        if walks:
+            walks[-1][1].append((piece, wrows.shape[0], kept))
+        return kept
+
+    monkeypatch.setattr(gradedideal, "_module_min_gens_of_kernel", walk)
+    monkeypatch.setattr(gradedideal, "_complete_in_subspace", complete)
+    graded_betti(J, 2, bound)
+    assert len(walks) == 2
+    shifted = 0
+    for source, calls in walks:
+        degree_of = {source.piece_dim(j): j for j in range(min(source.twists), bound + 1)}
+        assert len(degree_of) == bound + 1 - min(source.twists)
+        kept_degrees, dims = [], {}
+        for piece, nrows, kept in calls:
+            j = degree_of[piece.ambient_dim]
+            assert nrows == sum(basis_size(3, j - e) for e in kept_degrees)
+            shifted += nrows != 3 * dims.get(j - 1, 0)
+            kept_degrees += [j] * len(kept)
+            dims[j] = piece.dim
+    assert shifted
