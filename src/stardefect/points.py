@@ -2,7 +2,8 @@
 
 Interpolation ideals and their symbolic powers are cut out degree by degree
 as kernels of per-point vanishing conditions; the Hilbert function of the
-points themselves is the rank of an exact evaluation matrix.  The conditions
+points themselves is the rank of the stacked order-1 conditions, whose row
+for a point holds the value of each monomial there.  The conditions
 for one point are obtained by a linear change of coordinates moving the point
 to [0:0:1], where membership in the m-th power of the point ideal reads off
 the coefficients whose z0/z1-degree is below m.  This is the
@@ -104,69 +105,6 @@ def point_linear_forms(point, field: PrimeField) -> tuple[HomogPoly, HomogPoly]:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and Hilbert functions
-# ---------------------------------------------------------------------------
-
-def evaluation_matrix(X: PointSet, d: int) -> np.ndarray:
-    """Row per point: values of the degree-d monomial basis at the point."""
-    p = X.field.p
-    exps = basis_exponents(3, d)
-    rows = np.empty((len(X), basis_size(3, d)), dtype=np.int64)
-    for i, pt in enumerate(X.points):
-        vals = np.ones(exps.shape[0], dtype=np.int64)
-        for v in range(3):
-            powers = np.empty(d + 1, dtype=np.int64)
-            powers[0] = 1
-            for e in range(1, d + 1):
-                powers[e] = powers[e - 1] * pt[v] % p
-            vals = vals * powers[exps[:, v]] % p
-        rows[i] = vals
-    return rows
-
-
-def hilbert_function_points(X: PointSet, d: int) -> int:
-    """HF of R/I_X at degree d: the rank of the evaluation matrix."""
-    return rank(evaluation_matrix(X, d), X.field)
-
-
-def sigma_points(X: PointSet) -> int:
-    """Least degree where the Hilbert function reaches |X|."""
-    s = len(X)
-    d = 0
-    while hilbert_function_points(X, d) < s:
-        d += 1
-        if d > 3 * s + 3:
-            raise RuntimeError("Hilbert function failed to stabilize (duplicate points?)")
-    return d
-
-
-def regularity_points(X: PointSet) -> int:
-    """reg(I_X) for points in the plane: one past the HF stabilization degree."""
-    return sigma_points(X) + 1
-
-
-@dataclass(frozen=True)
-class PointsProfile:
-    alpha: int
-    regularity: int
-    hf: tuple[int, ...]  # HF of R/I_X for degrees 0..sigma+1
-    is_generic_hf: bool
-
-
-def points_profile(X: PointSet) -> PointsProfile:
-    """alpha, reg(I_X) and HF(R/I_X) at 0..sigma + 1, one walk of sigma + 2 ranks."""
-    s = len(X)
-    hf = []
-    while len(hf) < 2 or hf[-2] < s:
-        if len(hf) > 3 * s + 4:
-            raise RuntimeError("Hilbert function failed to stabilize (duplicate points?)")
-        hf.append(hilbert_function_points(X, len(hf)))
-    alpha = next(d for d, v in enumerate(hf) if v < basis_size(3, d))
-    generic = all(v == min(basis_size(3, d), s) for d, v in enumerate(hf))
-    return PointsProfile(alpha, len(hf) - 1, tuple(hf), generic)
-
-
-# ---------------------------------------------------------------------------
 # interpolation ideals and symbolic powers
 # ---------------------------------------------------------------------------
 
@@ -174,7 +112,7 @@ def ideal_of_points(X: PointSet) -> GradedIdeal:
     """The interpolation ideal I_X = I_X^(1), with pieces and generators through reg(I_X).
 
     The order-1 condition row of a point holds the value of each monomial
-    there, its evaluation-matrix row.
+    there, so I_X is the kernel of the tables whose rank is HF(R/I_X).
     """
     return symbolic_power_points(X, 1)
 
@@ -244,6 +182,39 @@ class _PointConditions:
         return out
 
 
+@dataclass(frozen=True)
+class PointsProfile:
+    alpha: int
+    regularity: int
+    hf: tuple[int, ...]  # HF of R/I_X for degrees 0..sigma+1
+    is_generic_hf: bool
+
+
+def points_profile(X: PointSet) -> PointsProfile:
+    """alpha, reg(I_X) and HF(R/I_X) at 0..sigma + 1, one walk of sigma + 2 ranks.
+
+    HF(R/I_X)(d) is the rank of the stacked order-1 condition tables of
+    degree d, whose row for a point holds the value of each degree-d
+    monomial there.  sigma is the least degree where HF reaches |X|, and
+    reg(I_X) = sigma + 1 is the last degree walked.
+    """
+    s = len(X)
+    conds = [_PointConditions(pt, 1, X.field) for pt in X.points]
+    hf = []
+    while len(hf) < 2 or hf[-2] < s:
+        if len(hf) > 3 * s + 4:
+            raise RuntimeError("Hilbert function failed to stabilize (duplicate points?)")
+        hf.append(rank(np.concatenate([c.table(len(hf)) for c in conds], axis=0), X.field))
+    alpha = next(d for d, v in enumerate(hf) if v < basis_size(3, d))
+    generic = all(v == min(basis_size(3, d), s) for d, v in enumerate(hf))
+    return PointsProfile(alpha, len(hf) - 1, tuple(hf), generic)
+
+
+def regularity_points(X: PointSet) -> int:
+    """reg(I_X) for points in the plane: one past the HF stabilization degree."""
+    return points_profile(X).regularity
+
+
 def _condition_kernels(X: PointSet, m: int) -> Callable[[int], Subspace]:
     """d -> I_X^(m)_d, the kernel of the stacked condition tables of degree d.
 
@@ -297,13 +268,17 @@ def symbolic_power_points(X: PointSet, m: int) -> GradedIdeal:
     From the least degree d0 with dim R_d0 > e on, the e condition rows
     leave every piece nonzero.  Below d0 kernels are computed from d0 - 1
     downward only through the first zero piece; the pieces below it are
-    inherited as zero.  If HF has not reached e by m * reg(I_X), a ceiling
-    on reg(I_X^(m)), an ArithmeticError is raised.
+    inherited as zero.  If HF has not reached e by m * |X|, an
+    ArithmeticError is raised.  That ceiling bounds reg(I_X^(m)) with no
+    walk of its own: reg(I_X^(m)) <= m * reg(I_X), and reg(I_X) <= |X|
+    because HF(R/I_X) rises strictly from 1 until it reaches |X|.  The
+    search stops at the first sigma, so the ceiling is only reached when
+    that fails.
     """
     if m < 1:
         raise ValueError("symbolic power needs m >= 1")
     e = len(X) * comb(m + 1, 2)
-    ceiling = m * regularity_points(X)
+    ceiling = m * len(X)
     piece = _condition_kernels(X, m)
     d0 = next(d for d in range(e + 1) if basis_size(3, d) > e)
     for d in range(d0 - 1, -1, -1):
@@ -357,26 +332,33 @@ def power_ideal(I: GradedIdeal, m: int, max_degree: int | None = None) -> Graded
     return GradedIdeal(I.num_vars, [f for _, f in level], I.field)
 
 
-def sdefect_points(X: PointSet, m: int) -> SdefectReport:
-    """Symbolic defect of the point ideal, with the certified degree bound.
+def sdefect_points(X: PointSet, ms: list[int]) -> list[SdefectReport]:
+    """Symbolic defects of the point ideal, one report per power in ``ms``.
 
-    Reports D = m*reg(I_X) + 1: regularity bounds every generator degree in
-    sight, so the per-degree counts are complete and the total is exact.
-    I_X^(m) is built through its own regularity (:func:`symbolic_power_points`),
-    and sdefect reads I_X^m only in degrees <= the top generator degree of
-    I_X^(m); there the products of degree <= that bound
+    Each report carries D = m*reg(I_X) + 1: regularity bounds every generator
+    degree in sight, so the per-degree counts are complete and the total is
+    exact.  I_X and reg(I_X) are computed once for the whole list, and only
+    when some m >= 1 asks for them; I_X serves as I_X^(1).  I_X^(m) is built
+    through its own regularity (:func:`symbolic_power_points`), and sdefect
+    reads I_X^m only in degrees <= the top generator degree of I_X^(m);
+    there the products of degree <= that bound
     (``power_ideal(..., max_degree=...)``) generate the same pieces as I_X^m.
     Every product formed is checked to lie in I_X^(m).
     """
-    if m < 0:
+    if any(m < 0 for m in ms):
         raise ValueError("negative power")
-    if m == 0:
-        return SdefectReport(per_degree={}, total=0, degree_bound_used=0)
-    reg = regularity_points(X)
-    D = m * reg + 1
-    isym = symbolic_power_points(X, m)
-    ipow = power_ideal(ideal_of_points(X), m, max_degree=isym.top_gen_degree())
-    return lab_sdefect(isym, ipow, D)
+    if any(m > 0 for m in ms):
+        reg = regularity_points(X)
+        base = ideal_of_points(X)
+    reports = []
+    for m in ms:
+        if m == 0:
+            reports.append(SdefectReport(per_degree={}, total=0, degree_bound_used=0))
+            continue
+        isym = base if m == 1 else symbolic_power_points(X, m)
+        ipow = power_ideal(base, m, max_degree=isym.top_gen_degree())
+        reports.append(lab_sdefect(isym, ipow, m * reg + 1))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def report(n, ok, detail):
 
 def example_sequence(seed: int, prime: int) -> list[int]:
     X = random_general_points(8, seed, prime)
-    return [sdefect_points(X, m).total for m in range(0, 8)]
+    return [rep.total for rep in sdefect_points(X, list(range(0, 8)))]
 
 
 def test_criterion_1_example_sequence_three_seeds():

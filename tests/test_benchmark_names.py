@@ -3,13 +3,19 @@
 The tracer self-check of ``perfbench/run.py --trace 1`` fails when a span it
 expects is never reached, and the worker's Betti probe reads the tables that
 ``stargeneral.verify_resolution_theorems`` returns.  These tests read the
-perfbench files (without importing or changing them) so that moving a pinned
-name fails here first.
+perfbench files (without changing them) so that moving a pinned name fails
+here first; one runs the self-check job under the perfbench tracer, in a
+fresh interpreter, so that a pinned span the job no longer reaches fails here
+too.
 """
 
 import ast
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +23,8 @@ import pytest
 from stardefect.gradedideal import BettiTable
 from stardefect.stargeneral import random_star_config, verify_resolution_theorems
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def literal(path: Path, name: str):
@@ -54,3 +61,32 @@ def test_resolution_theorems_return_the_probed_tables():
     res = verify_resolution_theorems(random_star_config(3, 2, [1, 1, 1], 1))
     assert isinstance(res["square"], BettiTable)
     assert isinstance(res["symbolic"], BettiTable)
+
+
+# Runs the self-check job under the benchmark's tracer in a fresh interpreter
+# and prints the exit code and the names of the spans that recorded a call.
+_TRACED_JOB = """
+import contextlib, io, json, sys
+import stardefect.cli
+from spans import Tracer
+
+tracer = Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = stardefect.cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "spans": sorted(tracer.summary()["spans"])}))
+"""
+
+
+def test_self_check_job_reaches_every_pinned_span():
+    run = PERFBENCH / "run.py"
+    job = literal(run, "SELF_CHECK_JOB")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(PERFBENCH)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_JOB, json.dumps(job)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["code"] == 0
+    missing = sorted(set(literal(run, "SELF_CHECK_SPANS")) - set(out["spans"]))
+    assert not missing, f"spans with no recorded call: {missing}"

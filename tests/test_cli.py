@@ -8,6 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stardefect.cli import main
+from stardefect.gradedideal import graded_betti
+from stardefect.points import (
+    random_general_lines,
+    random_general_points,
+    regularity_points,
+    star_points_from_lines,
+    symbolic_power_points,
+)
+from stardefect.stargeneral import random_star_config, symbolic_power_star_general
 
 
 def run(capsys, *argv):
@@ -106,6 +115,47 @@ def test_betti_star_default_table_is_hilbert_burch(capsys, degrees, m):
     assert rep["degree_bound"] == m * sum(degrees)
     assert set(table) == {0, 1}
     assert sum(table[1].values()) == sum(table[0].values()) - 1
+
+
+def _points_case(make):
+    """I_X^(m) with the default bound of ``betti --points``."""
+
+    def build(m):
+        X = make()
+        return symbolic_power_points(X, m), m * regularity_points(X) + 2
+
+    return build
+
+
+def _star_case(nv, c, degrees):
+    """I^(m) of a random star with the default bound of ``betti --star``."""
+
+    def build(m):
+        cfg = random_star_config(nv, c, degrees, 7)
+        return symbolic_power_star_general(cfg, m), m * cfg.total_degree
+
+    return build
+
+
+_SATURATED_CASES = (
+    [(f"points-{s}", _points_case(lambda s=s: random_general_points(s, 1))) for s in range(1, 11)]
+    + [(f"lines-{k}", _points_case(lambda k=k: star_points_from_lines(random_general_lines(k, 2)))) for k in (3, 4, 5)]
+    + [
+        (f"star-vars{nv}-c{c}-{''.join(map(str, degrees))}", _star_case(nv, c, degrees))
+        for nv, c, degrees in [(3, 1, [1, 1]), (3, 1, [1, 2, 2]), (3, 2, [1, 1, 1]), (3, 2, [1, 1, 2]), (2, 1, [1, 1]), (2, 1, [1, 2, 3])]
+    ]
+)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("name,build", _SATURATED_CASES, ids=[c[0] for c in _SATURATED_CASES])
+def test_betti_of_a_saturated_ideal_stops_below_num_vars_minus_one(name, build, m):
+    # the fact behind the homological bound of cmd_betti: a saturated J has
+    # depth R/J >= 1, so beta_i(J) = 0 for i >= num_vars - 1 (Auslander-Buchsbaum)
+    J, D = build(m)
+    full = graded_betti(J, 2, D)
+    assert all(i < J.num_vars - 1 for (i, _), _ in full.entries)
+    assert graded_betti(J, min(2, J.num_vars - 2), D) == full
 
 
 def test_bad_input_exit_code(capsys, tmp_path):

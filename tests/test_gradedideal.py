@@ -433,7 +433,7 @@ def test_points_sdefect_matches_every_degree_walk(s, m):
     ipow = power_ideal(ideal_of_points(X), m, max_degree=isym.top_gen_degree())
     _assert_matches_every_degree_walk(isym, ipow, isym.top_gen_degree())
     ref = _every_degree_walk(_fresh(isym), isym.top_gen_degree(), lambda d: _fresh(ipow).graded_piece(d).basis)
-    assert sdefect_points(X, m).per_degree == {d: len(rows) for d, rows in ref.items()}
+    assert sdefect_points(X, [m])[0].per_degree == {d: len(rows) for d, rows in ref.items()}
 
 
 def test_redundant_generators_in_one_degree_match_every_degree_walk():

@@ -4,13 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from stardefect.cli import verify_general_points
 from stardefect.gradedideal import GradedIdeal, graded_betti, sdefect as lab_sdefect
-from stardefect.linalg import GF32003, PrimeField, Subspace, kernel_basis
+from stardefect.linalg import GF32003, PrimeField, Subspace, kernel_basis, rank
 from stardefect.points import (
     _PointConditions,
-    evaluation_matrix,
     generic_double_hf,
     generator_count_check,
-    hilbert_function_points,
     ideal_of_points,
     linear_resolution_check,
     make_point_set,
@@ -22,18 +20,36 @@ from stardefect.points import (
     random_general_points,
     regularity_points,
     sdefect_points,
-    sigma_points,
     splitmix64,
     star_points_from_lines,
     symbolic_piece_by_intersection,
     symbolic_power_pieces,
     symbolic_power_points,
 )
-from stardefect.poly import basis_exponents, basis_size, evaluate, mono_index, parse_form
+from stardefect.poly import HomogPoly, basis_exponents, basis_size, evaluate, mono_index, parse_form, poly_from_vector
 
 
 def pts(*rows, prime=32003):
     return make_point_set(rows, PrimeField(prime))
+
+
+def _evaluation_matrix(X, d):
+    """Oracle: row per point, the value of each degree-d basis monomial there.
+
+    Built from ``poly.evaluate``, independent of the condition tables.
+    """
+    monos = [HomogPoly(3, d, {tuple(e): X.field.of(1)}, X.field) for e in basis_exponents(3, d).tolist()]
+    return np.array([[evaluate(u, pt) for u in monos] for pt in X.points], dtype=np.int64)
+
+
+def _hf_oracle(X, d):
+    """HF of R/I_X at degree d: the rank of the oracle evaluation matrix."""
+    return rank(_evaluation_matrix(X, d), X.field)
+
+
+def _sigma_oracle(X):
+    """Least degree where the oracle Hilbert function reaches |X|."""
+    return next(d for d in range(len(X) + 1) if _hf_oracle(X, d) == len(X))
 
 
 def test_normalize_point_canonical():
@@ -96,7 +112,7 @@ def test_four_general_points_complete_intersection_of_conics():
     X = random_general_points(4, 1)
     I = ideal_of_points(X)
     assert I.min_gens_counts(regularity_points(X)) == {2: 2}
-    assert sdefect_points(X, 2).total == 0
+    assert sdefect_points(X, [2])[0].total == 0
 
 
 def test_five_points_resolutions():
@@ -123,7 +139,7 @@ def test_eight_points_regularity():
 
 def test_hilbert_function_generic_values():
     X = random_general_points(5, 2)
-    assert hilbert_function_points(X, 2) == 5
+    assert _hf_oracle(X, 2) == 5
     assert ideal_of_points(X).graded_piece(2).dim == 1  # 6 - 5
 
 
@@ -163,20 +179,19 @@ def test_symbolic_power_m1_is_points_ideal():
     X = random_general_points(6, 3)
     J = symbolic_power_points(X, 1)
     for d in range(regularity_points(X) + 3):
-        K = kernel_basis(evaluation_matrix(X, d), X.field)
+        K = kernel_basis(_evaluation_matrix(X, d), X.field)
         assert J.graded_piece(d) == Subspace.from_rows(K, X.field, basis_size(3, d)), d
 
 
 def test_sdefect_points_known_small_values():
-    assert sdefect_points(random_general_points(3, 1), 2).total == 1
-    assert sdefect_points(random_general_points(6, 1), 2).total == 3
-    assert sdefect_points(random_general_points(1, 1), 3).total == 0
+    assert sdefect_points(random_general_points(3, 1), [2])[0].total == 1
+    assert sdefect_points(random_general_points(6, 1), [2])[0].total == 3
+    assert sdefect_points(random_general_points(1, 1), [3])[0].total == 0
 
 
 def test_collinear_points_zero_defect():
     X = pts((1, 0, 0), (0, 0, 1), (1, 0, 1), (1, 0, 2))
-    for m in (2, 3):
-        assert sdefect_points(X, m).total == 0
+    assert [rep.total for rep in sdefect_points(X, [2, 3])] == [0, 0]
 
 
 def test_classification_small():
@@ -187,7 +202,7 @@ def test_classification_small():
 
 def test_sdefect_invariant_under_coordinate_change():
     X = random_general_points(5, 4)
-    base = sdefect_points(X, 2)
+    base = sdefect_points(X, [2])[0]
     # random invertible substitution: transform the points directly
     p = X.field.p
     rng = np.random.default_rng(11)
@@ -198,7 +213,7 @@ def test_sdefect_invariant_under_coordinate_change():
         if rank(A % p, X.field) == 3:
             break
     moved = make_point_set([tuple(int(x) for x in (A @ np.array(pt)) % p) for pt in X.points], X.field)
-    assert sdefect_points(moved, 2).per_degree == base.per_degree
+    assert sdefect_points(moved, [2])[0].per_degree == base.per_degree
 
 
 def test_star_points_from_lines_counts():
@@ -222,7 +237,7 @@ def test_star_points_reject_concurrent():
 def test_star_points_sdefect_one():
     lines = random_general_lines(4, 2)
     X = star_points_from_lines(lines)
-    assert sdefect_points(X, 2).total == 1
+    assert sdefect_points(X, [2])[0].total == 1
 
 
 def test_alpha_symbolic_square_inequality():
@@ -260,7 +275,7 @@ def test_square_generator_count_lemma():
 def test_hf_monotone_and_stabilizes():
     X = random_general_points(9, 6)
     s = len(X)
-    vals = [hilbert_function_points(X, d) for d in range(sigma_points(X) + 3)]
+    vals = [_hf_oracle(X, d) for d in range(_sigma_oracle(X) + 3)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
     assert vals[-1] == s == vals[-2]
 
@@ -269,10 +284,10 @@ def test_points_profile_walks_to_one_past_sigma():
     sets = [random_general_points(s, seed) for s, seed in [(1, 1), (3, 2), (6, 2), (10, 1)]]
     sets.append(pts((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0)))  # collinear: HF 1, 2, 3, 4, 4
     for X in sets:
-        sigma = sigma_points(X)
+        sigma = _sigma_oracle(X)
         prof = points_profile(X)
         assert prof.regularity == regularity_points(X) == sigma + 1
-        assert prof.hf == tuple(hilbert_function_points(X, d) for d in range(sigma + 2))
+        assert prof.hf == tuple(_hf_oracle(X, d) for d in range(sigma + 2))
     assert prof.hf == (1, 2, 3, 4, 4) and prof.alpha == 1 and not prof.is_generic_hf
 
 
@@ -295,10 +310,10 @@ def test_star_intersection_points_probe():
         assert len(X) == s_lines * (s_lines - 1) // 2
         assert prof.is_generic_hf
         assert linear_resolution_check(X)
-        assert sdefect_points(X, 2).total == 1
+        assert sdefect_points(X, [2])[0].total == 1
     generic_same_size = random_general_points(6, 8)
     assert linear_resolution_check(generic_same_size)
-    assert sdefect_points(generic_same_size, 2).total != 1
+    assert sdefect_points(generic_same_size, [2])[0].total != 1
 
 
 def _condition_table_oracle(A, m, d, p):
@@ -374,7 +389,7 @@ def test_symbolic_power_built_through_its_regularity(name, make):
         # the route with no ceiling: pieces through m*reg(I_X), every m-fold product
         full = GradedIdeal.from_pieces(3, symbolic_power_pieces(X, m, m * reg_x), X.field)
         want = lab_sdefect(full, power_ideal(base, m), m * reg_x + 1)
-        assert sdefect_points(X, m).per_degree == want.per_degree, m
+        assert sdefect_points(X, [m])[0].per_degree == want.per_degree, m
 
 
 def test_power_ideal_cap_keeps_the_low_products_in_order():
@@ -402,3 +417,86 @@ def test_symbolic_power_of_eight_points_skips_zero_and_high_degrees(monkeypatch)
     J = symbolic_power_points(X, 7)
     assert sorted(J._pieces) == list(range(22))
     assert seen == [19, 20, 21]
+
+
+def _conic_dual_lines(k, field):
+    """k lines x0 + t x1 + t^2 x2, no three concurrent (a Vandermonde minor)."""
+    return [poly_from_vector(np.array([1, t, t * t], dtype=np.int64), 3, 1, field) for t in range(k)]
+
+
+_ORACLE_SETS = [(f"general-{s}", lambda prime, s=s: random_general_points(s, s, prime)) for s in range(1, 11)] + [
+    ("collinear-4", lambda prime: pts((1, 0, 0), (0, 0, 1), (1, 0, 1), (1, 0, 2), prime=prime)),
+    ("star-4-lines", lambda prime: star_points_from_lines(_conic_dual_lines(4, PrimeField(prime)))),
+    ("star-5-lines", lambda prime: star_points_from_lines(_conic_dual_lines(5, PrimeField(prime)))),
+    (
+        "zero-coordinates",
+        lambda prime: pts((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 2, 0), (2, 0, 1), prime=prime),
+    ),
+    ("on-z=0", lambda prime: pts((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (1, 3, 0), prime=prime)),
+]
+
+
+@pytest.mark.parametrize("prime", [5, 32003, 8388593])
+@pytest.mark.parametrize("name,make", _ORACLE_SETS, ids=[c[0] for c in _ORACLE_SETS])
+def test_points_profile_hf_matches_evaluation_oracle(name, make, prime):
+    X = make(prime)
+    prof = points_profile(X)
+    sigma = _sigma_oracle(X)
+    assert prof.hf == tuple(_hf_oracle(X, d) for d in range(sigma + 2))
+    assert prof.regularity == sigma + 1 <= len(X)
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap functions of stardefect.points; returns their call counts."""
+    import stardefect.points as points
+
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        inner = getattr(points, name)
+
+        def counted(*args, name=name, inner=inner, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(points, name, counted)
+    return calls
+
+
+def test_symbolic_power_points_walks_no_regularity(monkeypatch):
+    X = random_general_points(8, 1)
+    calls = _count_calls(monkeypatch, "regularity_points", "points_profile")
+    assert symbolic_power_points(X, 7).top_gen_degree() == 21
+    assert calls == {"regularity_points": 0, "points_profile": 0}
+
+
+def test_sdefect_points_builds_ideal_and_regularity_once_per_sequence(monkeypatch):
+    X = random_general_points(8, 1)
+    calls = _count_calls(monkeypatch, "regularity_points", "ideal_of_points", "symbolic_power_points")
+    reports = sdefect_points(X, list(range(8)))
+    assert [rep.total for rep in reports] == [0, 0, 1, 3, 6, 10, 9, 7]
+    assert [rep.degree_bound_used for rep in reports] == [0] + [4 * m + 1 for m in range(1, 8)]
+    # I_X serves as I_X^(1), so m = 2..7 build one symbolic power each
+    assert calls == {"regularity_points": 1, "ideal_of_points": 1, "symbolic_power_points": 7}
+
+
+def test_sdefect_points_at_power_zero_builds_nothing(monkeypatch):
+    import stardefect.points as points
+
+    X = random_general_points(8, 1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built at m = 0")
+
+    for name in ("regularity_points", "points_profile", "ideal_of_points", "symbolic_power_points", "power_ideal"):
+        monkeypatch.setattr(points, name, forbidden)
+    reports = sdefect_points(X, [0, 0])
+    assert [(rep.per_degree, rep.total, rep.degree_bound_used) for rep in reports] == [({}, 0, 0)] * 2
+    assert sdefect_points(X, []) == []
+
+
+@pytest.mark.parametrize("ms", [[-1], [2, -1], [0, 1, -3]])
+def test_sdefect_points_rejects_a_negative_power_before_building(monkeypatch, ms):
+    calls = _count_calls(monkeypatch, "regularity_points", "ideal_of_points")
+    with pytest.raises(ValueError, match="negative power"):
+        sdefect_points(random_general_points(4, 1), ms)
+    assert calls == {"regularity_points": 0, "ideal_of_points": 0}
