@@ -300,20 +300,24 @@ def cmd_betti(args, field) -> tuple[int, dict]:
     m = parse_power(args.m)
     if args.points or args.lines:
         X = load_point_input(args, field)
-        reg = regularity_points(X)
+        # beta_{i,j} != 0 only for j <= reg(I_X^(m)) + i <= m*reg(I_X) + 1 (Hilbert-Burch)
+        ceiling = m * regularity_points(X) + 1
         J = symbolic_power_points(X, m)
-        D = args.degree_bound if args.degree_bound is not None else m * reg + 2
+        D = args.degree_bound if args.degree_bound is not None else ceiling + 1
         report["input"] = {"points": _points_json(X), "seed": X.seed}
     else:
         cfg = load_star(args.star, args.c, field, args.seed)
         J = symbolic_power_star_general(cfg, m)
-        D = args.degree_bound if args.degree_bound is not None else m * cfg.total_degree
+        ceiling = m * cfg.total_degree  # the Taylor ceiling, carried over by substitution
+        D = args.degree_bound if args.degree_bound is not None else ceiling
         report["input"] = {"vars": cfg.num_vars, "c": cfg.c, "degrees": cfg.degrees}
     # J = I^(m) is saturated, so depth R/J >= 1 and, by Auslander-Buchsbaum,
     # beta_i(J) = 0 for i >= num_vars - 1: in three variables beta_2 is not computed
     table = graded_betti(J, min(2, J.num_vars - 2), D)
     report["m"] = m
     report["degree_bound"] = D
+    report["ceiling"] = ceiling
+    report["betti_certified"] = D >= ceiling
     report["betti"] = table.to_json()["betti"]
     report["display"] = table.display()
     return EXIT_OK, report
@@ -584,6 +588,8 @@ def _human_lines(report: dict) -> str:
         out.append(" ".join(str(v) for v in report["hilbert_function"]))
     elif cmd == "betti":
         out.append(report["display"])
+        if not report["betti_certified"]:
+            out.append(f"(uncertified: degree bound {report['degree_bound']} < ceiling {report['ceiling']})")
     elif cmd == "verify":
         n_ok = 0
         payload = report.get("checks") or report.get("rows") or []

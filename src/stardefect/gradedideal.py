@@ -8,8 +8,8 @@ numbers -- is built on those pieces.  No Groebner bases anywhere: every
 question is answered inside finite-dimensional graded slices, so all results
 are exact and carry an explicit degree bound.
 
-Syzygies reuse the same Nakayama computation lifted to graded pieces of free
-modules, one coefficient column per (generator, monomial) pair.
+Graded Betti numbers run the same Nakayama walk once per homological degree,
+on the kernels of maps of free modules (one column per generator and monomial).
 """
 
 from __future__ import annotations
@@ -368,68 +368,40 @@ class FreeModuleLayout:
 
 
 def graded_betti(J: GradedIdeal, homological_bound: int, degree_bound: int) -> BettiTable:
-    """Graded Betti numbers of J up to homological degree <= 2.
+    """Graded Betti numbers of J up to homological degree <= 2, one Nakayama walk per degree.
 
-    beta_0 from Nakayama minimal generators, beta_1 from minimal generators
-    of the syzygy module (kernel of the generator evaluation map on free
-    module pieces), beta_2 one level up.  All values are exact within the
-    degree bound; the caller certifies the bound covers the table.
+    Level 0 keeps minimal generators of J among its pieces at its generator
+    degrees; level i keeps minimal generators of the kernel of the map from
+    the free module on the rows kept at level i - 1 (:func:`_kernel_steps`).
+    The loop stops at the first level that keeps nothing.  All values are
+    exact within the degree bound; the caller certifies the bound covers the table.
     """
     if homological_bound < 0 or homological_bound > 2:
         raise ValueError("homological bound must be 0, 1, or 2")
     field = J.field
-    nv = J.num_vars
+    degrees = sorted({g.degree for g in J.gens if g.degree <= degree_bound})
+    layout = FreeModuleLayout(J.num_vars, (0,))
+    steps = ((d, J.graded_piece(d), None) for d in degrees)
     entries: dict[tuple[int, int], int] = {}
-    by_degree = J.min_gens(degree_bound)
-    gens: list[HomogPoly] = []
-    for d in sorted(by_degree):
-        entries.update({(0, d): len(by_degree[d])})
-        gens.extend(by_degree[d])
-    if homological_bound == 0 or not gens:
-        return BettiTable.from_dict(entries)
-
-    f0 = FreeModuleLayout(nv, tuple(g.degree for g in gens))
-    ring = FreeModuleLayout(nv, (0,))
-    images0 = [coefficient_vector(g) for g in gens]
-    syz_reps, beta1 = _module_min_gens_of_kernel(f0, images0, ring, degree_bound, field)
-    entries.update({(1, j): c for j, c in beta1.items()})
-    if homological_bound == 1 or not syz_reps:
-        return BettiTable.from_dict(entries)
-
-    f1 = FreeModuleLayout(nv, tuple(j for j, _ in syz_reps))
-    images1 = [row for _, row in syz_reps]
-    _, beta2 = _module_min_gens_of_kernel(f1, images1, f0, degree_bound, field)
-    entries.update({(2, j): c for j, c in beta2.items()})
+    for i in range(homological_bound + 1):
+        reps: list[tuple[int, np.ndarray]] = []
+        for d, piece, kept in _nakayama(layout, steps, field):
+            entries[i, d] = len(kept)
+            reps.extend((d, piece.basis[q]) for q in kept)
+        if not reps or i == homological_bound:
+            break
+        target, layout = layout, FreeModuleLayout(J.num_vars, tuple(d for d, _ in reps))
+        steps = _kernel_steps(reps, target, degree_bound, field)
     return BettiTable.from_dict(entries)
 
 
-def _module_min_gens_of_kernel(
-    source: FreeModuleLayout,
-    images: list[np.ndarray],
-    target: FreeModuleLayout,
-    degree_bound: int,
-    field: Field,
-) -> tuple[list[tuple[int, np.ndarray]], dict[int, int]]:
-    """Nakayama minimal generators of ker(source -> target), degree by degree.
-
-    The map sends generator k of ``source`` to images[k], a coefficient row
-    of the target piece in its degree; in degree j its matrix has the
-    degree-j multiples of the images as columns.  Returns the chosen
-    generator representatives as (degree, basis row of the source piece)
-    pairs together with the per-degree counts.  R_1 K_{j-1} is spanned by
-    the multiples of the representatives kept below j (:func:`_nakayama`),
-    so each kernel K_j is formed once, on its own.
-    """
-    reps: list[tuple[int, np.ndarray]] = []
-    counts: dict[int, int] = {}
-
-    degrees = range(min(source.twists, default=0), degree_bound + 1)
-    elements = list(zip(source.twists, images))
-    kernels = ((j, Subspace.kernel(target.multiples(elements, j, field).T, field), None) for j in degrees)
-    for j, piece, kept in _nakayama(source, kernels, field):
-        counts[j] = len(kept)
-        reps.extend((j, piece.basis[q]) for q in kept)
-    return reps, counts
+def _kernel_steps(
+    reps: list[tuple[int, np.ndarray]], target: FreeModuleLayout, degree_bound: int, field: Field
+) -> Iterator[tuple[int, Subspace, None]]:
+    """Steps (j, K_j, None) for j from reps[0][0] to the bound: K_j is the kernel in degree j of
+    the map sending one basis element per (e, g) in ``reps``, by increasing e, to the row g of ``target``."""
+    for j in range(reps[0][0], degree_bound + 1):
+        yield j, Subspace.kernel(target.multiples(reps, j, field).T, field), None
 
 
 def betti_from_weyman(resolution: BettiTable) -> BettiTable:

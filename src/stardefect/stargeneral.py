@@ -225,10 +225,12 @@ def colon_lemma_check(cfg: StarConfig) -> bool:
 
     (i) [I^2 : F] equals I_{3,F}, where F is the product of all forms;
     (ii) I^2 ∩ <F> = F [I^2 : F] as graded pieces, with the intersection
-    computed by subspaces.  Part (i) is checked by exact mutual containment:
-    generators of I_{3,F} multiply into I^2 (finite membership tests), and
-    degree-wise the colon pieces match the I_{3,F} pieces through one degree
-    past every generator of either side.  Each colon piece serves both parts.
+    computed by subspaces.  Part (i) is checked degree-wise: the colon
+    pieces equal the I_{3,F} pieces through one degree past every generator
+    of I_{3,F}.  That puts each generator g of degree t in the colon piece
+    of degree t, so gF lies in I^2: a membership test of gF per generator
+    fails only where this check does, and is not run.  Each colon piece
+    serves both parts.
     """
     if cfg.c != 2:
         raise ValueError("the colon identity is a c = 2 statement")
@@ -241,11 +243,7 @@ def colon_lemma_check(cfg: StarConfig) -> bool:
     F = substitute((1,) * cfg.s, cfg.forms)
     d = F.degree
 
-    # (i) containment I_{3,F} <= [I^2 : F], generator by generator, exactly
-    for g in i3.gens:
-        if not i2.member(multiply(g, F)):
-            return False
-    # (i) reverse, colon pieces inside I_{3,F}, through max generator degree + 1;
+    # (i) colon pieces equal to I_{3,F} pieces, through max generator degree + 1;
     # (ii) I^2 ∩ <F> = F * [I^2 : F] in degree t + d
     bound = max(g.degree for g in i3.gens) + 1
     for t in range(bound + 1):

@@ -117,6 +117,29 @@ def test_betti_star_default_table_is_hilbert_burch(capsys, degrees, m):
     assert sum(table[1].values()) == sum(table[0].values()) - 1
 
 
+@pytest.mark.parametrize(
+    "argv,ceiling",
+    [
+        (["--points", "random:s=6,seed=2", "--m", "1", "--degree-bound", "2"], 4),
+        (["--star", "random:degrees=[1,1,2],seed=7,c=2", "--m", "2", "--degree-bound", "3"], 8),
+    ],
+)
+def test_betti_below_the_ceiling_is_reported_uncertified(capsys, argv, ceiling):
+    # points: m*reg(I_X) + 1 with reg(I_X) = 3 for six general points; stars: m*sum(deg F_i)
+    code, out = run(capsys, "betti", *argv, "--json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["ceiling"] == ceiling and rep["betti_certified"] is False
+    code, out = run(capsys, "betti", *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == f"(uncertified: degree bound {argv[-1]} < ceiling {ceiling})"
+
+
+def test_betti_text_at_the_default_bound_has_no_uncertified_line(capsys):
+    code, out = run(capsys, "betti", "--points", "random:s=6,seed=2", "--m", "1")
+    assert code == 0 and "uncertified" not in out
+
+
 def _points_case(make):
     """I_X^(m) with the default bound of ``betti --points``."""
 

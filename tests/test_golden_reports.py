@@ -7,6 +7,7 @@ files with ``PYTHONPATH=src python tests/test_golden_reports.py``.
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -28,6 +29,7 @@ CASES = {
     "sdefect_lines": ["sdefect", "--lines", "random:s=5,seed=3", "--m", "1..3"],
     "sdefect_star_c2": ["sdefect", "--star", "random:degrees=[1,1,2,2],seed=7,c=2", "--m", "1..3"],
     "hilbert_points_s10": ["hilbert", "--points", "random:s=10,seed=1", "--m", "4"],
+    "betti_star_p3": ["betti", "--star", "random:degrees=[1,1,1,1,1],seed=7,c=3,vars=4", "--m", "2"],
 }
 
 
@@ -42,6 +44,13 @@ def report_bytes(argv: list[str]) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name):
     assert report_bytes(CASES[name]) == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if CASES[n][0] == "betti"))
+def test_default_betti_reports_are_certified(name):
+    report = json.loads((GOLDEN / f"{name}.json").read_bytes())
+    assert "--degree-bound" not in CASES[name]
+    assert report["betti_certified"] is True and report["degree_bound"] >= report["ceiling"]
 
 
 if __name__ == "__main__":

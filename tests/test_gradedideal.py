@@ -690,9 +690,19 @@ def _kernel_shift_walk(source: FreeModuleLayout, images, target: FreeModuleLayou
     return _shift_walk(source, kernels, field)
 
 
+def _kernel_walk(source: FreeModuleLayout, images, target: FreeModuleLayout, bound, field):
+    """Representatives (degree, row) and per-degree counts of the kernel walk graded_betti runs at one level."""
+    steps = gradedideal._kernel_steps(list(zip(source.twists, images)), target, bound, field)
+    reps, counts = [], {}
+    for j, piece, kept in gradedideal._nakayama(source, steps, field):
+        counts[j] = len(kept)
+        reps.extend((j, piece.basis[q]) for q in kept)
+    return reps, counts
+
+
 def _assert_kernel_walk_matches(source, images, target, bound, field):
-    """Counts and representatives of _module_min_gens_of_kernel equal the shift walk's."""
-    reps, counts = gradedideal._module_min_gens_of_kernel(source, images, target, bound, field)
+    """Counts and representatives of the kernel walk equal the shift walk's."""
+    reps, counts = _kernel_walk(source, images, target, bound, field)
     ref = _kernel_shift_walk(source, images, target, bound, field)
     assert counts == {j: len(rows) for j, rows in ref.items()}
     assert [j for j, _ in reps] == [j for j in sorted(ref) for _ in ref[j]]
@@ -727,11 +737,12 @@ def test_kernel_walk_spans_r1_by_multiples_of_kept_representatives(monkeypatch, 
     J = power_ideal(star_ideal(cfg), 2) if square else star_ideal(cfg)
     bound = 2 * cfg.total_degree
     walks = []
-    real_walk, real_complete = gradedideal._module_min_gens_of_kernel, gradedideal._complete_in_subspace
+    real_steps, real_complete = gradedideal._kernel_steps, gradedideal._complete_in_subspace
 
-    def walk(source, images, target, degree_bound, field):
-        walks.append((source, []))
-        return real_walk(source, images, target, degree_bound, field)
+    def steps(reps, target, degree_bound, field):
+        # one kernel walk per call, over the free module on the representatives
+        walks.append((FreeModuleLayout(3, tuple(e for e, _ in reps)), []))
+        return real_steps(reps, target, degree_bound, field)
 
     def complete(piece, wrows, field):
         kept = real_complete(piece, wrows, field)
@@ -739,7 +750,7 @@ def test_kernel_walk_spans_r1_by_multiples_of_kept_representatives(monkeypatch, 
             walks[-1][1].append((piece, wrows.shape[0], kept))
         return kept
 
-    monkeypatch.setattr(gradedideal, "_module_min_gens_of_kernel", walk)
+    monkeypatch.setattr(gradedideal, "_kernel_steps", steps)
     monkeypatch.setattr(gradedideal, "_complete_in_subspace", complete)
     graded_betti(J, 2, bound)
     assert len(walks) == 2
@@ -755,3 +766,72 @@ def test_kernel_walk_spans_r1_by_multiples_of_kept_representatives(monkeypatch, 
             kept_degrees += [j] * len(kept)
             dims[j] = piece.dim
     assert shifted
+
+
+def _two_level_betti(J: GradedIdeal, homological_bound: int, degree_bound: int) -> BettiTable:
+    """Oracle: beta_0 from min_gens as forms and back to rows, then one kernel walk per level, written out."""
+    field, nv = J.field, J.num_vars
+
+    def kernel_min_gens(source, images, target):
+        elements = list(zip(source.twists, images))
+        degrees = range(min(source.twists), degree_bound + 1)
+        kernels = ((j, Subspace.kernel(target.multiples(elements, j, field).T, field), None) for j in degrees)
+        reps, counts = [], {}
+        for j, piece, kept in gradedideal._nakayama(source, kernels, field):
+            counts[j] = len(kept)
+            reps.extend((j, piece.basis[q]) for q in kept)
+        return reps, counts
+
+    by_degree = J.min_gens(degree_bound)
+    entries = {(0, d): len(forms) for d, forms in by_degree.items()}
+    gens = [g for d in sorted(by_degree) for g in by_degree[d]]
+    if homological_bound == 0 or not gens:
+        return BettiTable.from_dict(entries)
+    f0 = FreeModuleLayout(nv, tuple(g.degree for g in gens))
+    reps1, beta1 = kernel_min_gens(f0, [coefficient_vector(g) for g in gens], FreeModuleLayout(nv, (0,)))
+    entries.update({(1, j): c for j, c in beta1.items()})
+    if homological_bound == 1 or not reps1:
+        return BettiTable.from_dict(entries)
+    f1 = FreeModuleLayout(nv, tuple(j for j, _ in reps1))
+    _, beta2 = kernel_min_gens(f1, [row for _, row in reps1], f0)
+    entries.update({(2, j): c for j, c in beta2.items()})
+    return BettiTable.from_dict(entries)
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), GF32003, PrimeField(8388593), QQ], ids=str)
+@pytest.mark.parametrize("homological_bound", [0, 1, 2])
+def test_graded_betti_matches_two_level_oracle(field, homological_bound):
+    rng = np.random.default_rng(300 + homological_bound)
+    for _ in range(8):
+        nv = int(rng.integers(2, 5))
+        gens = [_random_form(rng, nv, int(rng.integers(1, 3)), field) for _ in range(int(rng.integers(2, 6)))]
+        J = GradedIdeal(nv, gens, field)
+        bound = J.top_gen_degree() + int(rng.integers(1, 3))
+        assert graded_betti(J, homological_bound, bound) == _two_level_betti(_fresh(J), homological_bound, bound)
+
+
+@pytest.mark.parametrize(
+    "nv,c,degrees,m",
+    [(3, 2, [1, 1, 2], m) for m in (1, 2, 3)] + [(4, 2, [1, 1, 1, 1], m) for m in (1, 2)] + [(4, 3, [1] * 5, m) for m in (1, 2)],
+)
+def test_star_graded_betti_matches_two_level_oracle(nv, c, degrees, m):
+    # the P^3 stars of codimension three have second syzygies
+    cfg = random_star_config(nv, c, degrees, 7)
+    J = symbolic_power_star_general(cfg, m)
+    bound = m * cfg.total_degree
+    assert graded_betti(J, 2, bound) == _two_level_betti(_fresh(J), 2, bound)
+
+
+def test_graded_betti_stops_at_the_first_level_that_keeps_nothing(monkeypatch):
+    # (x0) has no first syzygies, so no second-syzygy walk runs
+    J = ideal("x0")
+    walks = []
+    real = gradedideal._nakayama
+
+    def counting(layout, steps, field):
+        walks.append(layout)
+        return real(layout, steps, field)
+
+    monkeypatch.setattr(gradedideal, "_nakayama", counting)
+    assert graded_betti(J, 2, 6).as_dict() == {(0, 1): 1}
+    assert walks == [FreeModuleLayout(3, (0,)), FreeModuleLayout(3, (1,))]
