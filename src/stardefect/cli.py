@@ -149,10 +149,17 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _codimension(given, c_flag: int | None, where: str):
+    """The codimension of a star input: its own value, or --c; both given and different is an error."""
+    if given is not None and c_flag is not None and given != c_flag:
+        raise ValueError(f"--c {c_flag} conflicts with c = {given!r} in {where}")
+    return c_flag if given is None else given
+
+
 def load_star(spec: str, c_flag: int | None, field: PrimeField, default_seed: int) -> StarConfig:
     if spec.startswith("random:"):
         kv = _parse_kv_spec(spec, {"degrees": list, "seed": int, "c": int, "vars": int}, "degrees")
-        c = kv.get("c", c_flag)
+        c = _codimension(kv.get("c"), c_flag, f"star spec {spec!r}")
         nv = kv.get("vars", 3)
         if c is None:
             raise ValueError("star spec needs c= or --c")
@@ -163,7 +170,7 @@ def load_star(spec: str, c_flag: int | None, field: PrimeField, default_seed: in
         raise ValueError(f"{spec}: star config must be a JSON object")
     nv = data.get("vars")
     forms = data.get("forms")
-    c = data.get("c", c_flag)
+    c = _codimension(data.get("c"), c_flag, spec)
     if not _is_int(nv) or nv < 2:
         raise ValueError(f'{spec}: "vars" must be an integer >= 2')
     if not isinstance(forms, list) or not all(isinstance(t, str) for t in forms):
@@ -303,17 +310,14 @@ def cmd_betti(args, field) -> tuple[int, dict]:
         # beta_{i,j} != 0 only for j <= reg(I_X^(m)) + i <= m*reg(I_X) + 1 (Hilbert-Burch)
         ceiling = m * regularity_points(X) + 1
         J = symbolic_power_points(X, m)
-        D = args.degree_bound if args.degree_bound is not None else ceiling + 1
         report["input"] = {"points": _points_json(X), "seed": X.seed}
     else:
         cfg = load_star(args.star, args.c, field, args.seed)
         J = symbolic_power_star_general(cfg, m)
         ceiling = m * cfg.total_degree  # the Taylor ceiling, carried over by substitution
-        D = args.degree_bound if args.degree_bound is not None else ceiling
         report["input"] = {"vars": cfg.num_vars, "c": cfg.c, "degrees": cfg.degrees}
-    # J = I^(m) is saturated, so depth R/J >= 1 and, by Auslander-Buchsbaum,
-    # beta_i(J) = 0 for i >= num_vars - 1: in three variables beta_2 is not computed
-    table = graded_betti(J, min(2, J.num_vars - 2), D)
+    D = args.degree_bound if args.degree_bound is not None else ceiling
+    table = graded_betti(J, D)
     report["m"] = m
     report["degree_bound"] = D
     report["ceiling"] = ceiling

@@ -367,41 +367,44 @@ class FreeModuleLayout:
         return out
 
 
-def graded_betti(J: GradedIdeal, homological_bound: int, degree_bound: int) -> BettiTable:
-    """Graded Betti numbers of J up to homological degree <= 2, one Nakayama walk per degree.
+def graded_betti(J: GradedIdeal, degree_bound: int) -> BettiTable:
+    """Graded Betti numbers of J up to homological degree 2, one Nakayama walk per degree.
 
     Level 0 keeps minimal generators of J among its pieces at its generator
-    degrees; level i keeps minimal generators of the kernel of the map from
-    the free module on the rows kept at level i - 1 (:func:`_kernel_steps`).
-    The loop stops at the first level that keeps nothing.  All values are
-    exact within the degree bound; the caller certifies the bound covers the table.
+    degrees; level i keeps those of the kernel K of the map from the free
+    module F on the rows kept at level i - 1 (:func:`_kernel_steps`), which
+    span its image through the bound: K_j is formed only where dim F_j exceeds
+    the dimension level i - 1 walked at j (0 if it walked none), else K_j = 0.
+    The loop stops at the first level keeping nothing.  All values are exact
+    within the degree bound; the caller certifies the bound covers the table.
     """
-    if homological_bound < 0 or homological_bound > 2:
-        raise ValueError("homological bound must be 0, 1, or 2")
-    field = J.field
-    degrees = sorted({g.degree for g in J.gens if g.degree <= degree_bound})
+    pieces = {d: J.graded_piece(d) for d in sorted({g.degree for g in J.gens if g.degree <= degree_bound})}
+    walked = {d: piece.dim for d, piece in pieces.items()}
+    steps = ((d, piece, None) for d, piece in pieces.items())
     layout = FreeModuleLayout(J.num_vars, (0,))
-    steps = ((d, J.graded_piece(d), None) for d in degrees)
     entries: dict[tuple[int, int], int] = {}
-    for i in range(homological_bound + 1):
+    for i in range(3):
         reps: list[tuple[int, np.ndarray]] = []
-        for d, piece, kept in _nakayama(layout, steps, field):
+        for d, piece, kept in _nakayama(layout, steps, J.field):
             entries[i, d] = len(kept)
             reps.extend((d, piece.basis[q]) for q in kept)
-        if not reps or i == homological_bound:
+        if not reps or i == 2:
             break
         target, layout = layout, FreeModuleLayout(J.num_vars, tuple(d for d, _ in reps))
-        steps = _kernel_steps(reps, target, degree_bound, field)
+        degrees = [j for j in range(reps[0][0], degree_bound + 1) if layout.piece_dim(j) > walked.get(j, 0)]
+        steps = _kernel_steps(reps, target, degrees, J.field, walked := {})
     return BettiTable.from_dict(entries)
 
 
 def _kernel_steps(
-    reps: list[tuple[int, np.ndarray]], target: FreeModuleLayout, degree_bound: int, field: Field
+    reps: list[tuple[int, np.ndarray]], target: FreeModuleLayout, degrees: list[int], field: Field, dims: dict[int, int]
 ) -> Iterator[tuple[int, Subspace, None]]:
-    """Steps (j, K_j, None) for j from reps[0][0] to the bound: K_j is the kernel in degree j of
-    the map sending one basis element per (e, g) in ``reps``, by increasing e, to the row g of ``target``."""
-    for j in range(reps[0][0], degree_bound + 1):
-        yield j, Subspace.kernel(target.multiples(reps, j, field).T, field), None
+    """Steps (j, K_j, None) for j in ``degrees``, recording dims[j] = dim K_j as each is made: K_j is the kernel in
+    degree j of the map sending one basis element per (e, g) in ``reps``, by increasing e, to the row g of ``target``."""
+    for j in degrees:
+        kernel = Subspace.kernel(target.multiples(reps, j, field).T, field)
+        dims[j] = kernel.dim
+        yield j, kernel, None
 
 
 def betti_from_weyman(resolution: BettiTable) -> BettiTable:

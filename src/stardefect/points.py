@@ -533,7 +533,7 @@ def linear_resolution_check(X: PointSet) -> bool:
     counts = I.min_gens_counts(prof.regularity)
     cond_a = counts == {alpha: alpha + 1}
     cond_b = len(X) == comb(alpha + 1, 2) and prof.is_generic_hf
-    table = graded_betti(I, 1, prof.regularity + 1)
+    table = graded_betti(I, prof.regularity + 1)
     cond_c = table.row(0) == {alpha: alpha + 1} and table.row(1) == {alpha + 1: alpha}
     if not (cond_a == cond_b == cond_c):
         raise ArithmeticError(

@@ -314,10 +314,10 @@ def verify_resolution_theorems(cfg: StarConfig) -> dict:
     degrees = cfg.degrees
     d = cfg.total_degree
     i2 = power_ideal(star_ideal(cfg), 2)
-    sq_table = graded_betti(i2, 2, 2 * d)
+    sq_table = graded_betti(i2, 2 * d)
     sq_expected = predicted_square_betti(degrees)
     sym2 = symbolic_power_star_general(cfg, 2)
-    sym_table = graded_betti(sym2, 1, 2 * d)
+    sym_table = graded_betti(sym2, 2 * d)
     sym_expected = predicted_symbolic_square_betti(degrees)
     return {
         "square": sq_table,

@@ -83,9 +83,9 @@ def test_criterion_3_special_resolutions():
     for s, (expect_i, expect_sym) in LEMMA_62_TABLES.items():
         X = random_general_points(s, 1)
         reg = regularity_points(X)
-        t_i = graded_betti(ideal_of_points(X), 1, reg + 2).as_dict()
+        t_i = graded_betti(ideal_of_points(X), reg + 2).as_dict()
         sym = symbolic_power_points(X, 2)
-        t_sym = graded_betti(sym, 1, 2 * reg + 2).as_dict()
+        t_sym = graded_betti(sym, 2 * reg + 2).as_dict()
         good = t_i == expect_i and t_sym == expect_sym
         ok = ok and good
         results[s] = good
@@ -156,10 +156,10 @@ def test_criterion_8_weyman_oracle():
         X = random_general_points(s, 1)
         reg = regularity_points(X)
         I = ideal_of_points(X)
-        pred = betti_from_weyman(graded_betti(I, 1, reg + 2))
+        pred = betti_from_weyman(graded_betti(I, reg + 2))
         sq = power_ideal(I, 2)
         bound = max(j for (_, j) in pred.as_dict()) + 1
-        direct = graded_betti(sq, 2, bound)
+        direct = graded_betti(sq, bound)
         good = direct == pred and check_alternating_sum(sq, direct, bound)
         details[s] = good
         ok = ok and good
@@ -190,8 +190,8 @@ def test_criterion_10_determinism_and_field_independence():
         for prime, expect in ((32003, LEMMA_62_TABLES[s]), (65537, LEMMA_62_TABLES[s])):
             X = random_general_points(s, 1, prime)
             reg = regularity_points(X)
-            t_i = graded_betti(ideal_of_points(X), 1, reg + 2).as_dict()
-            sym_t = graded_betti(symbolic_power_points(X, 2), 1, 2 * reg + 2).as_dict()
+            t_i = graded_betti(ideal_of_points(X), reg + 2).as_dict()
+            sym_t = graded_betti(symbolic_power_points(X, 2), 2 * reg + 2).as_dict()
             ok = ok and (t_i, sym_t) == expect
     grid_a = verify_monomial_grid(3, 2, GF)
     grid_b = verify_monomial_grid(3, 2, GF2)

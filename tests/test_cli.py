@@ -7,6 +7,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stardefect import gradedideal
 from stardefect.cli import main
 from stardefect.gradedideal import graded_betti
 from stardefect.points import (
@@ -141,7 +142,7 @@ def test_betti_text_at_the_default_bound_has_no_uncertified_line(capsys):
 
 
 def _points_case(make):
-    """I_X^(m) with the default bound of ``betti --points``."""
+    """I_X^(m) with a bound one above the ceiling m*reg(I_X) + 1, the default of ``betti --points``."""
 
     def build(m):
         X = make()
@@ -172,13 +173,23 @@ _SATURATED_CASES = (
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("name,build", _SATURATED_CASES, ids=[c[0] for c in _SATURATED_CASES])
-def test_betti_of_a_saturated_ideal_stops_below_num_vars_minus_one(name, build, m):
-    # the fact behind the homological bound of cmd_betti: a saturated J has
-    # depth R/J >= 1, so beta_i(J) = 0 for i >= num_vars - 1 (Auslander-Buchsbaum)
+def test_betti_of_a_saturated_ideal_stops_below_num_vars_minus_one(monkeypatch, name, build, m):
+    # a saturated J has depth R/J >= 1, so beta_i(J) = 0 for i >= num_vars - 1
+    # (Auslander-Buchsbaum); in at most three variables the first syzygies are then
+    # free, and the exactness count of graded_betti leaves no degree for a level-2 kernel
     J, D = build(m)
-    full = graded_betti(J, 2, D)
-    assert all(i < J.num_vars - 1 for (i, _), _ in full.entries)
-    assert graded_betti(J, min(2, J.num_vars - 2), D) == full
+    real = gradedideal._kernel_steps
+    levels = []  # the kernel degrees of each syzygy level, as graded_betti hands them over
+
+    def steps(reps, target, degrees, field, dims):
+        levels.append(list(degrees))
+        return real(reps, target, degrees, field, dims)
+
+    monkeypatch.setattr(gradedideal, "_kernel_steps", steps)
+    table = graded_betti(J, D)
+    assert all(i < J.num_vars - 1 for (i, _), _ in table.entries)
+    if J.num_vars <= 3:
+        assert levels[1:] in ([], [[]])
 
 
 def test_bad_input_exit_code(capsys, tmp_path):
@@ -329,6 +340,32 @@ def test_codimension_flag_needs_star(capsys, command, kind):
     code, err = run_err(capsys, command, kind, "random:s=3,seed=1", "--c", "7", "--json")
     assert code == 1
     assert err.startswith("error:") and "--c" in err
+
+
+def _star_input(tmp_path, source):
+    """A c = 2 star as a random spec, or as a JSON config file."""
+    if source == "spec":
+        return "random:degrees=[1,1,1],seed=7,c=2"
+    f = tmp_path / "star.json"
+    f.write_text(json.dumps({"vars": 3, "c": 2, "forms": ["x0", "x1", "x2", "x0+x1+x2"]}))
+    return str(f)
+
+
+@pytest.mark.parametrize("command", ["sdefect", "hilbert", "betti"])
+@pytest.mark.parametrize("source", ["spec", "file"])
+def test_codimension_flag_that_conflicts_with_the_star_input_exits_1(capsys, tmp_path, command, source):
+    code, err = run_err(capsys, command, "--star", _star_input(tmp_path, source), "--c", "1", "--json")
+    assert code == 1
+    assert err.startswith("error:") and "--c 1" in err and "c = 2" in err
+
+
+@pytest.mark.parametrize("command", ["sdefect", "hilbert", "betti"])
+@pytest.mark.parametrize("source", ["spec", "file"])
+def test_codimension_flag_equal_to_the_star_input_changes_nothing(capsys, tmp_path, command, source):
+    star = _star_input(tmp_path, source)
+    code, out = run(capsys, command, "--star", star, "--c", "2", "--json")
+    assert code == 0 and json.loads(out)["input"]["c"] == 2
+    assert (code, out) == run(capsys, command, "--star", star, "--json")
 
 
 def test_star_report_carries_certificate(capsys):

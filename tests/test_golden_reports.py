@@ -1,13 +1,17 @@
 """Canonical --json reports compared byte for byte with stored golden files.
 
 Pieces carry canonical RREF bases, so a refactor that keeps the mathematics
-must keep these bytes.  After an intended change of a report, rewrite the
-files with ``PYTHONPATH=src python tests/test_golden_reports.py``.
+must keep these bytes.  After an intended change of a report, rewrite its
+file with ``PYTHONPATH=src python tests/test_golden_reports.py NAME ...``
+(every case when no NAME is given).  Each rewritten file is printed with
+whether its bytes changed; an unknown NAME exits 1 and writes nothing.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,8 +57,30 @@ def test_default_betti_reports_are_certified(name):
     assert report["betti_certified"] is True and report["degree_bound"] >= report["ceiling"]
 
 
+def test_regenerating_an_unknown_case_exits_1_and_writes_nothing():
+    before = {f.name: (f.read_bytes(), f.stat().st_mtime_ns) for f in GOLDEN.iterdir()}
+    src = str(Path(__file__).parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, __file__, "betti_points", "no_such_case"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1 and "no_such_case" in proc.stderr and proc.stdout == ""
+    assert {f.name: (f.read_bytes(), f.stat().st_mtime_ns) for f in GOLDEN.iterdir()} == before
+
+
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    unknown = [n for n in names if n not in CASES]
+    if unknown:
+        print(f"unknown golden case: {', '.join(unknown)} (known: {', '.join(CASES)})", file=sys.stderr)
+        sys.exit(1)
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        (GOLDEN / f"{name}.json").write_bytes(report_bytes(argv))
+    for name in names:
+        path = GOLDEN / f"{name}.json"
+        new = report_bytes(CASES[name])
+        changed = not path.exists() or path.read_bytes() != new
+        path.write_bytes(new)
+        print(f"{path}: {'changed' if changed else 'unchanged'}")
     sys.exit(0)

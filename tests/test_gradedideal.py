@@ -202,20 +202,20 @@ def test_sdefect_cross_module_oracle(n, c, m):
 
 def test_koszul_betti():
     J = ideal("x0", "x1")
-    t = graded_betti(J, 2, 5)
+    t = graded_betti(J, 5)
     assert t.as_dict() == {(0, 1): 2, (1, 2): 1}
     assert check_alternating_sum(J, t, 5)
 
 
 def test_complete_intersection_conics_betti():
     J = ideal("x0^2 - x1*x2", "x1^2 - x0*x2")
-    t = graded_betti(J, 2, 6)
+    t = graded_betti(J, 6)
     assert t.as_dict() == {(0, 2): 2, (1, 4): 1}
 
 
 def test_betti_rationals_small():
     J = ideal("x0", "x1", num_vars=3, field=QQ)
-    t = graded_betti(J, 2, 4)
+    t = graded_betti(J, 4)
     assert t.as_dict() == {(0, 1): 2, (1, 2): 1}
 
 
@@ -243,8 +243,8 @@ def test_betti_from_weyman_rejects_malformed():
 def test_weyman_matches_direct_square_for_koszul():
     J = ideal("x0", "x1")
     sq = ideal("x0^2", "x0*x1", "x1^2")
-    direct = graded_betti(sq, 2, 6)
-    pred = betti_from_weyman(graded_betti(J, 1, 4))
+    direct = graded_betti(sq, 6)
+    pred = betti_from_weyman(graded_betti(J, 4))
     assert direct == pred
     assert check_alternating_sum(sq, direct, 6)
 
@@ -252,11 +252,11 @@ def test_weyman_matches_direct_square_for_koszul():
 def test_monomial_star_square_betti_consistency():
     # I = star(2,2): three quadrics x0x1, x0x2, x1x2 in P^2
     J = monomial_to_ideal(star_monomial(2, 2))
-    t = graded_betti(J, 2, 6)
+    t = graded_betti(J, 6)
     assert t.row(0) == {2: 3}
     assert check_alternating_sum(J, t, 6)
     sq = monomial_to_ideal(star_monomial(2, 2).power(2))
-    t2 = graded_betti(sq, 2, 8)
+    t2 = graded_betti(sq, 8)
     pred = betti_from_weyman(t)
     assert t2 == pred
 
@@ -691,8 +691,9 @@ def _kernel_shift_walk(source: FreeModuleLayout, images, target: FreeModuleLayou
 
 
 def _kernel_walk(source: FreeModuleLayout, images, target: FreeModuleLayout, bound, field):
-    """Representatives (degree, row) and per-degree counts of the kernel walk graded_betti runs at one level."""
-    steps = gradedideal._kernel_steps(list(zip(source.twists, images)), target, bound, field)
+    """Representatives (degree, row) and per-degree counts of one level's kernel walk, forming every kernel through the bound."""
+    degrees = list(range(min(source.twists), bound + 1))
+    steps = gradedideal._kernel_steps(list(zip(source.twists, images)), target, degrees, field, {})
     reps, counts = [], {}
     for j, piece, kept in gradedideal._nakayama(source, steps, field):
         counts[j] = len(kept)
@@ -725,7 +726,7 @@ def test_graded_betti_matches_shift_walk(field, seed):
     reps1, beta1 = _assert_kernel_walk_matches(f0, [coefficient_vector(g) for g in mins], FreeModuleLayout(3, (0,)), bound, field)
     f1 = FreeModuleLayout(3, tuple(j for j, _ in reps1))
     _, beta2 = _assert_kernel_walk_matches(f1, [row for _, row in reps1], f0, bound, field) if reps1 else (None, {})
-    table = graded_betti(J, 2, bound)
+    table = graded_betti(J, bound)
     assert table.row(1) == beta1 and table.row(2) == beta2
 
 
@@ -739,10 +740,10 @@ def test_kernel_walk_spans_r1_by_multiples_of_kept_representatives(monkeypatch, 
     walks = []
     real_steps, real_complete = gradedideal._kernel_steps, gradedideal._complete_in_subspace
 
-    def steps(reps, target, degree_bound, field):
+    def steps(reps, target, degrees, field, dims):
         # one kernel walk per call, over the free module on the representatives
         walks.append((FreeModuleLayout(3, tuple(e for e, _ in reps)), []))
-        return real_steps(reps, target, degree_bound, field)
+        return real_steps(reps, target, degrees, field, dims)
 
     def complete(piece, wrows, field):
         kept = real_complete(piece, wrows, field)
@@ -752,7 +753,7 @@ def test_kernel_walk_spans_r1_by_multiples_of_kept_representatives(monkeypatch, 
 
     monkeypatch.setattr(gradedideal, "_kernel_steps", steps)
     monkeypatch.setattr(gradedideal, "_complete_in_subspace", complete)
-    graded_betti(J, 2, bound)
+    graded_betti(J, bound)
     assert len(walks) == 2
     shifted = 0
     for source, calls in walks:
@@ -799,15 +800,16 @@ def _two_level_betti(J: GradedIdeal, homological_bound: int, degree_bound: int) 
 
 
 @pytest.mark.parametrize("field", [PrimeField(5), GF32003, PrimeField(8388593), QQ], ids=str)
-@pytest.mark.parametrize("homological_bound", [0, 1, 2])
-def test_graded_betti_matches_two_level_oracle(field, homological_bound):
-    rng = np.random.default_rng(300 + homological_bound)
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_graded_betti_matches_two_level_oracle(field, k):
+    # eight random ideals per rng seed 300 + k; the oracle forms every kernel through the bound
+    rng = np.random.default_rng(300 + k)
     for _ in range(8):
         nv = int(rng.integers(2, 5))
         gens = [_random_form(rng, nv, int(rng.integers(1, 3)), field) for _ in range(int(rng.integers(2, 6)))]
         J = GradedIdeal(nv, gens, field)
         bound = J.top_gen_degree() + int(rng.integers(1, 3))
-        assert graded_betti(J, homological_bound, bound) == _two_level_betti(_fresh(J), homological_bound, bound)
+        assert graded_betti(J, bound) == _two_level_betti(_fresh(J), 2, bound)
 
 
 @pytest.mark.parametrize(
@@ -819,7 +821,7 @@ def test_star_graded_betti_matches_two_level_oracle(nv, c, degrees, m):
     cfg = random_star_config(nv, c, degrees, 7)
     J = symbolic_power_star_general(cfg, m)
     bound = m * cfg.total_degree
-    assert graded_betti(J, 2, bound) == _two_level_betti(_fresh(J), 2, bound)
+    assert graded_betti(J, bound) == _two_level_betti(_fresh(J), 2, bound)
 
 
 def test_graded_betti_stops_at_the_first_level_that_keeps_nothing(monkeypatch):
@@ -833,5 +835,39 @@ def test_graded_betti_stops_at_the_first_level_that_keeps_nothing(monkeypatch):
         return real(layout, steps, field)
 
     monkeypatch.setattr(gradedideal, "_nakayama", counting)
-    assert graded_betti(J, 2, 6).as_dict() == {(0, 1): 1}
+    assert graded_betti(J, 6).as_dict() == {(0, 1): 1}
     assert walks == [FreeModuleLayout(3, (0,)), FreeModuleLayout(3, (1,))]
+
+
+def _level_two_kernel_degrees(monkeypatch, J: GradedIdeal, bound: int) -> tuple[BettiTable, list[int]]:
+    """The table of J and the degrees at which graded_betti forms a level-2 (second syzygy) kernel."""
+    real = gradedideal._kernel_steps
+    levels = []
+
+    def steps(reps, target, degrees, field, dims):
+        levels.append(list(degrees))
+        return real(reps, target, degrees, field, dims)
+
+    monkeypatch.setattr(gradedideal, "_kernel_steps", steps)
+    table = graded_betti(J, bound)
+    monkeypatch.setattr(gradedideal, "_kernel_steps", real)
+    return table, levels[1] if len(levels) > 1 else []
+
+
+@pytest.mark.parametrize("nv,degrees", [(3, [1, 1, 1]), (3, [1, 1, 2, 2]), (3, [1, 2, 2, 3]), (4, [1, 1, 2, 2]), (4, [1, 2, 2, 3])])
+def test_resolution_thm_forms_level_two_kernels_only_where_beta_2_can_live(monkeypatch, nv, degrees):
+    # exactness: the level-1 generators span the first syzygies through the bound, so the
+    # second-syzygy kernel in degree j has dimension dim F_j - dim K_j; the square's beta_2
+    # sits at 2d, the symbolic square has a length-one resolution
+    cfg = random_star_config(nv, 2, degrees, 1)
+    d = cfg.total_degree
+    square, sq_degrees = _level_two_kernel_degrees(monkeypatch, power_ideal(star_ideal(cfg), 2), 2 * d)
+    symbolic, sym_degrees = _level_two_kernel_degrees(monkeypatch, symbolic_power_star_general(cfg, 2), 2 * d)
+    assert sq_degrees == [2 * d] and square.row(2)
+    assert sym_degrees == [] and not symbolic.row(2)
+
+
+def test_graded_betti_stops_at_homological_degree_two():
+    # the Koszul complex of four variables has beta_3 = 1 at degree 4, which is not computed
+    J = ideal("x0", "x1", "x2", "x3", num_vars=5)
+    assert graded_betti(J, 6).as_dict() == {(0, 1): 4, (1, 2): 6, (2, 3): 4}

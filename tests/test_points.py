@@ -118,7 +118,7 @@ def test_four_general_points_complete_intersection_of_conics():
 def test_five_points_resolutions():
     X = random_general_points(5, 1)
     I = ideal_of_points(X)
-    assert graded_betti(I, 1, 4).as_dict() == {(0, 2): 1, (0, 3): 2, (1, 4): 2}
+    assert graded_betti(I, 4).as_dict() == {(0, 2): 1, (0, 3): 2, (1, 4): 2}
     sym = symbolic_power_points(X, 2)
     assert sym.min_gens_counts(8) == {4: 1, 5: 3}
 
