@@ -13,6 +13,13 @@ PANEL*(p-1)**2 < 2**52, so the field constructor admits 5 <= p <= 8388593.
 A naive per-pivot reference implementation is kept alongside and used both
 for the rationals and as a test oracle.
 
+The bulk GF(p) products skip what structure makes zero: ``_dot_mod`` takes
+only the nonzero rows of A and columns of B, the back pass makes no product
+for a block that meets no row above (and no inverse for a block that is
+already I), a containment residual multiplies only on the non-pivot
+columns where the basis is nonzero.  The skipped parts are zero, so every
+result is exact.
+
 Before the pivot loop, ``_echelon_gfp`` preselects pivot rows (F4-style):
 one row per distinct leading column is already an echelon block, the other
 rows are reduced against it by a blocked unit triangular solve, and only
@@ -192,16 +199,22 @@ def _mod_p(X: np.ndarray, p: int) -> np.ndarray:
 
 def _dot_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """Float64 matrix product reduced mod p, chunking the inner dimension so
-    every accumulated dot product stays below 2**52 (exact)."""
-    k = A.shape[1]
+    every accumulated dot product stays below 2**52 (exact).  Only the
+    nonzero rows of A meet the nonzero columns of B; the rest is zero."""
+    rows, cols = A.any(axis=1), B.any(axis=0)
+    dense = rows.all() and cols.all()
+    if not dense:
+        A, B = A[rows], B[:, cols]
     step = max(1, int(2**52 // ((p - 1) ** 2)))
-    if k <= step:
-        return _mod_p(A @ B, p)
-    acc = np.zeros((A.shape[0], B.shape[1]))
-    for s in range(0, k, step):
+    acc = _mod_p(A[:, :step] @ B[:step], p)
+    for s in range(step, A.shape[1], step):
         acc += A[:, s : s + step] @ B[s : s + step]
         _mod_p(acc, p)
-    return acc
+    if dense:
+        return acc
+    out = np.zeros((rows.size, cols.size))
+    out[np.ix_(rows, cols)] = acc
+    return out
 
 
 def _unit_tri_inv(N: np.ndarray, p: int) -> np.ndarray:
@@ -386,10 +399,11 @@ def _reduce_up_gfp(A: np.ndarray, pivots: list[int], p: int):
 
     Blocks of ``_PANEL`` rows go bottom first.  The block rows B are reduced;
     their pivot columns form a unit upper triangular U and U^-1 B is their
-    RREF.  The rows above subtract their pivot-column entries times it in one
-    BLAS product, growing by at most PANEL*(p-1)**2; they are reduced after
-    every block once rank*(p-1)**2 could reach 2**51, so entries stay below
-    2**52.  One final reduction normalizes everything.
+    RREF, which is B itself when U = I.  Unless they are all zero in the
+    block's pivot columns, the rows above subtract those entries times it in
+    one BLAS product, growing by at most PANEL*(p-1)**2; they are reduced
+    after every block once rank*(p-1)**2 could reach 2**51, so entries stay
+    below 2**52.  One final reduction normalizes everything.
     """
     rank = len(pivots)
     piv = np.asarray(pivots)
@@ -399,12 +413,15 @@ def _reduce_up_gfp(A: np.ndarray, pivots: list[int], p: int):
         B = _mod_p(A[t0:t1, cols[0] :], p)  # zero left of the first pivot
         N = B[:, cols - cols[0]]
         np.fill_diagonal(N, 0.0)
-        B[:] = _mod_p(_unit_tri_inv(N, p) @ B, p)
-        if t0:
-            above = A[:t0, cols[0] :]
-            above -= _mod_p(A[:t0, cols], p) @ B
-            if rank * (p - 1) ** 2 >= 2**51:  # keep lazy growth exact at huge ranks
-                _mod_p(above, p)
+        if N.any():
+            B[:] = _mod_p(_unit_tri_inv(N, p) @ B, p)
+        H = _mod_p(A[:t0, cols], p)
+        if not H.any():  # the block changes no row above
+            continue
+        above = A[:t0, cols[0] :]
+        above -= H @ B
+        if rank * (p - 1) ** 2 >= 2**51:  # keep lazy growth exact at huge ranks
+            _mod_p(above, p)
     _mod_p(A[:rank], p)
     return A
 
@@ -608,40 +625,35 @@ class Subspace:
             raise ValueError("field mismatch")
 
     def residual_rows(self, V: np.ndarray) -> np.ndarray:
-        """V minus its projection through the pivot coordinates.
+        """V minus its projection through the pivot coordinates (:func:`_residual`).
 
-        A row of V lies in the subspace iff its residual row is zero.  Over
-        GF(p) the pivot entries of V are reduced before the product, so rows
-        with unreduced entries get an exact residual too.
+        A row of V lies in the subspace iff its residual row is zero.
         """
-        return _residual(V, self.basis, self.pivots, self.field)
+        return _residual(self.basis, self.pivots, self.field)(V)
 
     def contains_rows(self, V: np.ndarray) -> bool:
-        """Whether every row of V lies in the subspace.
+        """Whether every row of V, of width ``ambient_dim``, lies in the subspace.
 
         Over GF(p) only the distinct nonzero rows of V are tested
         (:func:`_distinct_rows`): a zero row lies in every subspace and a
         repeated row with its first copy.  The columns all stay, as a
-        residual can be nonzero where V is zero.  The basis is converted to
-        float64 once; the residual is formed ``_BLOCK_CELLS`` cells at a time
-        and the answer is False at the first block with a nonzero entry, so
-        beyond that one copy memory is bounded by a block.
+        residual can be nonzero where V is zero.  The residual's column
+        classes are found once; it is formed ``_BLOCK_CELLS`` cells at a time
+        and the answer is False at the first block with a nonzero entry.
         """
+        if V.shape[-1] != self.ambient_dim:
+            raise ValueError("vector dimension mismatch")
         if V.size == 0:
             return True
-        B = self.basis
         if isinstance(self.field, PrimeField):
             rows = _distinct_rows(V)
             if rows is not None:
                 V = V[rows]
-            B = B.astype(np.float64)
+        residual = _residual(self.basis, self.pivots, self.field)
         step = max(1, _BLOCK_CELLS // V.shape[1])
-        blocks = (V[s : s + step] for s in range(0, V.shape[0], step))
-        return not any(np.any(_residual(b, B, self.pivots, self.field)) for b in blocks)
+        return not any(np.any(residual(V[s : s + step])) for s in range(0, V.shape[0], step))
 
     def contains(self, v: np.ndarray) -> bool:
-        if v.shape[-1] != self.ambient_dim:
-            raise ValueError("vector dimension mismatch")
         return self.contains_rows(v.reshape(1, -1))
 
     def conditions(self) -> np.ndarray:
@@ -674,18 +686,32 @@ class Subspace:
         return hash((self.field, self.ambient_dim, self.basis.tobytes() if isinstance(self.field, PrimeField) else self.dim))
 
 
-def _residual(V: np.ndarray, basis: np.ndarray, pivots, field: Field) -> np.ndarray:
-    """V minus the combination of the basis rows given by V's pivot entries.
+def _residual(basis: np.ndarray, pivots, field: Field):
+    """The map from V to V minus the combination of the basis rows given by
+    V's pivot entries.
 
-    Over GF(p) those entries are reduced first, as ``matmul_mod`` needs; the
-    basis may already be float64, which ``matmul_mod`` uses uncopied.
+    The RREF basis is the identity on its pivot columns, so the residual is
+    zero there, and it is V on the other columns where the basis is zero.
+    Only the rest, masked once here, take a product, with the basis on them
+    (float64 over GF(p), for ``matmul_mod``); with no such column there is
+    no product.  Over GF(p) V's pivot entries are reduced before the
+    product and the residual after it, so unreduced rows are exact too.
     """
-    P = V[:, list(pivots)]
+    piv = list(pivots)
+    touched = (basis != 0).any(axis=0)
+    touched[piv] = False
+    cols = np.flatnonzero(touched)
+    B = basis[:, cols]
     gfp = isinstance(field, PrimeField)
     if gfp:
-        P = P % field.p
-    out = V - matmul_mod(P, basis, field)
-    if gfp:
-        out %= field.p
-    return out
+        B = B.astype(np.float64)
 
+    def residual(V: np.ndarray) -> np.ndarray:
+        P = V[:, piv]
+        out = V.astype(basis.dtype)
+        out[:, piv] = field.of(0)
+        if cols.size:
+            out[:, cols] -= matmul_mod(P % field.p if gfp else P, B, field)
+        return np.remainder(out, field.p, out=out) if gfp else out
+
+    return residual

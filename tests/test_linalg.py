@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,6 +105,25 @@ def test_contains():
     assert A.contains(np.array([1, 0, 0]))
     assert A.contains(np.array([5, 0, 0]))
     assert not A.contains(np.array([0, 1, 0]))
+
+
+def test_rational_contains_takes_an_integer_vector():
+    # the basis is nonzero off its pivots (column 1), so the residual takes a
+    # product there; an int64 V gets the exact rational residual
+    S = Subspace.from_rows(QQ.matrix([[2, 1, 0], [0, 0, 3]]), QQ)
+    assert S.contains(np.array([4, 2, 3])) and not S.contains(np.array([1, 0, 0]))
+    assert S.residual_rows(np.array([[1, 0, 0]])).tolist() == [[0, Fraction(-1, 2), 0]]
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_contains_rows_rejects_a_width_other_than_the_ambient_dimension(width):
+    f = GF32003
+    A = Subspace.from_rows(f.matrix([[1, 0, 0]]), f)
+    for V in (np.zeros((2, width), dtype=np.int64), np.zeros((0, width), dtype=np.int64)):
+        with pytest.raises(ValueError, match="vector dimension mismatch"):
+            A.contains_rows(V)
+    with pytest.raises(ValueError, match="vector dimension mismatch"):
+        A.contains(np.zeros(width, dtype=np.int64))
 
 
 def test_ambient_mismatch_raises():
@@ -474,3 +495,145 @@ def test_preselection_stays_exact_at_worst_case_growth():
     r, R, piv = rref(M, field)
     assert r0 == k and (r, piv) == (r0, piv0) and np.array_equal(R[:r], R0[:r0])
     assert rank(M, field) == k
+
+
+def _back_pass_case(rng, p, n, extra, pattern):
+    """Echelon rows of rank n whose pivot columns set what the back pass meets.
+
+    The pivot columns P are spread among ``extra`` others and each row has a
+    random nonzero leading entry, so the elimination only scales the rows
+    and ``_reduce_up_gfp`` sees this zero pattern.  Entry (i, P[j]), i < j:
+    "identity" zero everywhere (every block is I, every row above zero);
+    "blocks-identity" zero inside each back-pass block of ``_PANEL`` rows,
+    counted from the bottom, and nonzero across blocks (N = 0, every row
+    above hit); "partial" nonzero only in even rows (every other row above
+    hit); "full" nonzero everywhere.
+    """
+    cols = n + extra
+    P = np.sort(rng.choice(cols, n, replace=False))
+    M = rng.integers(1, p, size=(n, cols))
+    M[np.arange(cols)[None, :] < P[:, None]] = 0
+    block = (n - 1 - np.arange(n)) // linalg._PANEL
+    hit = {
+        "identity": np.zeros((n, n), dtype=bool),
+        "blocks-identity": block[:, None] != block[None, :],
+        "partial": np.repeat((np.arange(n) % 2 == 0)[:, None], n, axis=1),
+        "full": np.ones((n, n), dtype=bool),
+    }[pattern]
+    M[:, P] *= np.triu(hit, 1)
+    M[np.arange(n), P] = rng.integers(1, p, size=n)
+    return M
+
+
+@pytest.mark.parametrize("pattern", ["identity", "blocks-identity", "partial", "full"])
+@pytest.mark.parametrize("p", [5, 32003, 8388593])
+def test_back_pass_zero_structure_matches_reference(p, pattern, monkeypatch):
+    # rank 200: four back-pass blocks, three with rows above
+    field = PrimeField(p)
+    M = _back_pass_case(np.random.default_rng([p, len(pattern)]), p, 200, 40, pattern)
+    inverses = []
+    tri_inv = linalg._unit_tri_inv
+    monkeypatch.setattr(linalg, "_unit_tri_inv", lambda N, q: inverses.append(N.shape) or tri_inv(N, q))
+    r0, R0, piv0 = _echelon_reference(M, field, reduced=True)
+    r, R, piv = rref(M, field)
+    assert r == 200 and (r, piv) == (r0, piv0) and np.array_equal(R[:r], R0[:r0])
+    # rows with distinct leading columns are preselected and need no solve, so
+    # every inverse is the back pass's, and a block that is I takes none
+    assert len(inverses) == (0 if pattern in ("identity", "blocks-identity") else 4)
+
+
+@pytest.mark.parametrize("p", [5, 32003, 8388593])
+def test_dot_mod_with_zero_rows_and_columns_is_exact(p):
+    # k = 150 inner terms: chunked at 8388593 (64 at a time), one product below
+    rng = np.random.default_rng(p)
+    A = rng.integers(p - 3, p, size=(30, 150)).astype(np.float64)
+    B = rng.integers(p - 3, p, size=(150, 20)).astype(np.float64)
+    zero_rows, zero_cols = A.copy(), B.copy()
+    zero_rows[::3] = 0
+    zero_cols[:, 1::4] = 0
+    cases = [(A, B), (zero_rows, B), (A, zero_cols), (zero_rows, zero_cols), (0 * A, B), (A, 0 * B)]
+    for X, Y in cases:
+        expected = (X.astype(np.int64).astype(object) @ Y.astype(np.int64).astype(object)) % p
+        out = linalg._dot_mod(X, Y, p)
+        assert out.shape == (30, 20) and out.dtype == np.float64
+        assert np.array_equal(out.astype(np.int64), expected.astype(np.int64))
+
+
+@pytest.mark.parametrize("p", [5, 32003, 8388593])
+def test_contains_rows_on_a_coordinate_subspace(p):
+    field = PrimeField(p)
+    rng = np.random.default_rng([p, 1])
+    n = 40
+    support = np.sort(rng.choice(n, 15, replace=False))
+    S = Subspace.from_rows(np.eye(n, dtype=np.int64)[support], field)
+    inside = np.zeros((25, n), dtype=np.int64)
+    inside[:, support] = rng.integers(0, 3 * p * p, size=(25, 15))
+    outside = inside.copy()
+    outside[-1, np.setdiff1d(np.arange(n), support)[0]] = p * p + 1  # 1 mod p off the support
+    multiple = inside.copy()
+    multiple[0, np.setdiff1d(np.arange(n), support)[-1]] = 2 * p * p  # 0 mod p off the support
+    for V in (inside, outside, multiple):
+        assert S.contains_rows(V) == _contains_oracle(S, V, field)
+    assert S.contains_rows(inside) and not S.contains_rows(outside) and S.contains_rows(multiple)
+
+
+@pytest.mark.parametrize("p", [5, 32003, 8388593])
+def test_contains_rows_on_a_dense_basis_with_unreduced_entries(p):
+    # a basis with zero columns (so every column class occurs), and V whose
+    # rows lie in it up to p^2 multiples added to cells, entries up to 3p^2
+    field = PrimeField(p)
+    rng = np.random.default_rng([p, 2])
+    n = 50
+    G = random_matrix(rng, 12, n, p)
+    G[:, rng.random(n) < 0.3] = 0
+    S = Subspace.from_rows(G, field)
+    V = random_matrix(rng, 30, 12, p) @ G % p
+    V += p * p * rng.integers(0, 3, size=V.shape) * (rng.random(V.shape) < 0.2)
+    assert S.contains_rows(V) and _contains_oracle(S, V, field)
+    for j in range(n):
+        W = V.copy()
+        W[3, j] += 1
+        assert S.contains_rows(W) == _contains_oracle(S, W, field)
+    expected = (V - (V[:, list(S.pivots)] % p) @ S.basis) % p
+    assert np.array_equal(S.residual_rows(V), expected) and not expected.any()
+
+
+def test_rational_residual_rows_keep_fraction_entries():
+    S = Subspace.from_rows(QQ.matrix([[2, 4, 0, 6, 0], [0, 0, 3, 1, 0]]), QQ)
+    V = QQ.matrix([[1, 2, 3, 5, 5], [Fraction(1, 2), 1, 0, Fraction(3, 2), 0]])
+    R = S.residual_rows(V)
+    assert all(type(x) is Fraction for x in R.flat)
+    expected = V - V[:, list(S.pivots)] @ S.basis
+    assert R.tolist() == expected.tolist()
+    assert R.tolist() == [[0, 0, 0, Fraction(1), 5], [0] * 5]
+
+
+def test_containment_in_a_basis_of_unit_vectors_makes_no_product(monkeypatch):
+    field = GF32003
+    calls = []
+    product = linalg.matmul_mod
+    monkeypatch.setattr(linalg, "matmul_mod", lambda A, B, f: calls.append(B.shape) or product(A, B, f))
+    units = Subspace.from_rows(np.eye(30, dtype=np.int64)[::3], field)
+    V = np.zeros((20, 30), dtype=np.int64)
+    V[:, ::3] = np.arange(200).reshape(20, 10)
+    assert units.contains_rows(V) and not units.contains_rows(V + np.eye(20, 30, 1, dtype=np.int64))
+    assert calls == []
+    dense = Subspace.from_rows(random_matrix(np.random.default_rng(4), 10, 30, field.p), field)
+    assert dense.contains_rows(dense.basis[::-1] * 2)
+    assert calls == [(10, 20)]
+
+
+def test_partial_back_pass_guard_keeps_high_ranks_exact():
+    # as in test_back_pass_guard_keeps_high_ranks_exact, but only the even
+    # rows are p - 1 above the diagonal: every other row above meets each
+    # block, so every block makes its product, and the rows that grow stay
+    # exact only through the reductions made once rank * (p - 1)**2 >= 2**51
+    p, n = 8388593, 320
+    field = PrimeField(p)
+    U = np.triu(np.full((n, n), p - 1, dtype=np.int64), 1)
+    U[1::2] = 0
+    U += np.eye(n, dtype=np.int64)
+    M = np.concatenate([U, np.full((n, 8), p - 1, dtype=np.int64)], axis=1)
+    r0, R0, piv0 = _echelon_reference(M, field, reduced=True)
+    r, R, piv = rref(M, field)
+    assert (r, piv) == (r0, piv0) and np.array_equal(R[:r], R0[:r0])
