@@ -1,8 +1,10 @@
 """Command-line interface: sdefect / hilbert / betti reports and the
 theorem-verification suites, with canonical JSON output.
 
-Exit codes: 0 success, 1 input or certification error, 2 a verification
-ran but a theorem check failed.
+Exit codes: 0 success, 1 input or certification error (or an input too
+large to hold in memory), 2 a verification ran but a theorem check failed.
+Every command runs on one OpenBLAS thread (``linalg.one_blas_thread``); the
+count the caller had is back when ``main`` returns.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from math import comb
 
 from .gradedideal import GradedIdeal, graded_betti, sdefect as lab_sdefect
-from .linalg import PrimeField
+from .linalg import PrimeField, one_blas_thread
 from .monomial import (
     sdefect_star_monomial,
     star_monomial,
@@ -619,9 +621,10 @@ def main(argv=None) -> int:
         # built per call, so a command rebound on this module (the perfbench
         # tracer wraps each one) is the one that runs
         commands = {"sdefect": cmd_sdefect, "hilbert": cmd_hilbert, "betti": cmd_betti, "verify": cmd_verify}
-        code, report = commands[args.command](args, field)
-    except (ValueError, ParseError, CertificationError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with one_blas_thread():
+            code, report = commands[args.command](args, field)
+    except (ValueError, ParseError, CertificationError, OSError, RuntimeError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
     if args.json:
         sys.stdout.write(canonical_json(report))

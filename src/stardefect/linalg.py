@@ -13,10 +13,9 @@ PANEL*(p-1)**2 < 2**52, so the field constructor admits 5 <= p <= 8388593.
 A naive per-pivot reference implementation is kept alongside and used both
 for the rationals and as a test oracle.
 
-The bulk GF(p) products skip what structure makes zero: ``_dot_mod`` takes
-only the nonzero rows of A and columns of B, the back pass makes no product
-for a block that meets no row above (and no inverse for a block that is
-already I), a containment residual multiplies only on the non-pivot
+The bulk GF(p) products skip what structure makes zero: the back pass makes
+no product for a block that meets no row above (and no inverse for a block
+that is already I), a containment residual multiplies only on the non-pivot
 columns where the basis is nonzero.  The skipped parts are zero, so every
 result is exact.
 
@@ -35,10 +34,18 @@ and a zero column is zero in every vector of it, so it never holds a pivot
 and is a free column of every kernel.  ``echelon`` puts the kept columns
 back in place, so rank, pivots, the canonical RREF and kernels are those of
 the whole matrix.  Containment tests only the distinct nonzero rows.
+
+``one_blas_thread()`` runs its body on one OpenBLAS thread.  The CLI enters
+it once per command: a second thread saves these products no wall time and
+spends CPU time spinning.  It restores the previous count on exit, so a
+caller in the same process keeps its own setting.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,10 +56,53 @@ _PANEL = 64  # pivot block width for the BLAS-backed elimination
 _SMALL_MOD = 512  # np.remainder beats the floor quotient up to this many entries
 _SMALL_COMPRESS = 1 << 16  # matrices with fewer cells go to elimination as they are
 _BLOCK_CELLS = 1 << 20  # row comparisons and residuals run this many cells at a time
+_BLAS_THREAD_SYMBOLS = (  # (get, set) thread-count pairs, as numpy's OpenBLAS builds name them
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 def _is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+@functools.cache
+def _blas_thread_calls():
+    """The (get, set) thread-count functions of the OpenBLAS this process
+    loaded, found through ``/proc/self/maps``; None where there is none
+    (macOS, MKL, no ``/proc``).  Looked up once, on first use."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line})
+        for path in libs:
+            lib = ctypes.CDLL(path)
+            for names in _BLAS_THREAD_SYMBOLS:
+                get, set_ = (getattr(lib, name, None) for name in names)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    except OSError:  # no /proc, or a library that does not load
+        pass
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body on one OpenBLAS thread, then restore the previous count,
+    also when the body raises.  Does nothing where no OpenBLAS is found."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 class PrimeField:
@@ -199,22 +249,13 @@ def _mod_p(X: np.ndarray, p: int) -> np.ndarray:
 
 def _dot_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """Float64 matrix product reduced mod p, chunking the inner dimension so
-    every accumulated dot product stays below 2**52 (exact).  Only the
-    nonzero rows of A meet the nonzero columns of B; the rest is zero."""
-    rows, cols = A.any(axis=1), B.any(axis=0)
-    dense = rows.all() and cols.all()
-    if not dense:
-        A, B = A[rows], B[:, cols]
+    every accumulated dot product stays below 2**52 (exact)."""
     step = max(1, int(2**52 // ((p - 1) ** 2)))
     acc = _mod_p(A[:, :step] @ B[:step], p)
     for s in range(step, A.shape[1], step):
         acc += A[:, s : s + step] @ B[s : s + step]
         _mod_p(acc, p)
-    if dense:
-        return acc
-    out = np.zeros((rows.size, cols.size))
-    out[np.ix_(rows, cols)] = acc
-    return out
+    return acc
 
 
 def _unit_tri_inv(N: np.ndarray, p: int) -> np.ndarray:

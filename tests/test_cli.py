@@ -7,7 +7,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stardefect import gradedideal
+from stardefect import gradedideal, linalg
 from stardefect.cli import main
 from stardefect.gradedideal import graded_betti
 from stardefect.points import (
@@ -507,3 +507,28 @@ def test_human_output(capsys):
     code, out = run(capsys, "sdefect", "--points", "random:s=5,seed=1", "--m", "2")
     assert code == 0
     assert "sdefect=1" in out
+
+
+def test_main_runs_on_one_blas_thread_and_restores_the_count(capsys, monkeypatch):
+    counts = [3]  # a stand-in thread count: get reads the last entry, set appends
+    monkeypatch.setattr(linalg, "_blas_thread_calls", lambda: (lambda: counts[-1], counts.append))
+    assert run(capsys, "sdefect", "--points", "random:s=3,seed=1", "--m", "2", "--json")[0] == 0
+    assert counts == [3, 1, 3]
+    code, err = run_err(capsys, "sdefect", "--points", "random:s=3,seed=1", "--m", "2..1")
+    assert code == 1 and err.startswith("error:")
+    assert counts == [3, 1, 3, 1, 3]
+
+
+def test_main_leaves_the_real_blas_thread_count(capsys):
+    calls = linalg._blas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS thread control in this process")
+    before = calls[0]()
+    assert run(capsys, "hilbert", "--points", "random:s=4,seed=1", "--json")[0] == 0
+    assert calls[0]() == before
+
+
+def test_m_range_too_large_to_hold_is_an_input_error(capsys):
+    # the list of 10**12 powers fails at allocation, before any memory fills
+    code, err = run_err(capsys, "sdefect", "--points", "random:s=3,seed=1", "--m", "1..1000000000000")
+    assert code == 1 and err == "error: out of memory\n"

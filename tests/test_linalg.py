@@ -637,3 +637,54 @@ def test_partial_back_pass_guard_keeps_high_ranks_exact():
     r0, R0, piv0 = _echelon_reference(M, field, reduced=True)
     r, R, piv = rref(M, field)
     assert (r, piv) == (r0, piv0) and np.array_equal(R[:r], R0[:r0])
+
+
+def test_one_blas_thread_sets_one_and_restores(monkeypatch):
+    counts = [4]  # a stand-in thread count: get reads the last entry, set appends
+    monkeypatch.setattr(linalg, "_blas_thread_calls", lambda: (lambda: counts[-1], counts.append))
+    with linalg.one_blas_thread():
+        assert counts == [4, 1]
+    assert counts == [4, 1, 4]
+    with pytest.raises(ZeroDivisionError), linalg.one_blas_thread():
+        1 / 0
+    assert counts == [4, 1, 4, 1, 4]
+
+
+def test_one_blas_thread_without_openblas_does_nothing(monkeypatch):
+    # no symbol pair in the mapped libraries, or no /proc: the lookup finds nothing
+    monkeypatch.setattr(linalg.ctypes, "CDLL", lambda path: object())
+    assert linalg._blas_thread_calls.__wrapped__() is None
+    monkeypatch.undo()
+
+    def no_proc(*args, **kwargs):
+        raise FileNotFoundError("/proc/self/maps")
+
+    monkeypatch.setattr(linalg, "open", no_proc, raising=False)
+    assert linalg._blas_thread_calls.__wrapped__() is None
+    ran = []
+    monkeypatch.setattr(linalg, "_blas_thread_calls", lambda: None)
+    with linalg.one_blas_thread():
+        ran.append(True)
+    assert ran == [True]
+
+
+def test_elimination_is_exact_on_one_blas_thread(monkeypatch):
+    # 300 preselected rows and 200 others with a residual of rank 60: the
+    # solve's product with S is 200 x 300 x 300 multiply-adds, past
+    # OpenBLAS's threading cut of 2**18, and the back pass clears rank 360
+    p = 32003
+    field = PrimeField(p)
+    M = _led(np.random.default_rng(32003), p, 600, 300, 200, 60)
+    shapes, back = [], []
+    dot, reduce_up = linalg._dot_mod, linalg._reduce_up_gfp
+    monkeypatch.setattr(linalg, "_dot_mod", lambda A, B, q: shapes.append(A.shape + B.shape[1:]) or dot(A, B, q))
+    monkeypatch.setattr(linalg, "_reduce_up_gfp", lambda A, piv, q: back.append(len(piv)) or reduce_up(A, piv, q))
+    r, R, piv = rref(M, field)
+    assert r == 360 and back == [360] and max(m * k * n for m, k, n in shapes) > 2**18
+    calls = linalg._blas_thread_calls()
+    with linalg.one_blas_thread():
+        assert calls is None or calls[0]() == 1
+        r1, R1, piv1 = rref(M, field)
+        assert rank(M, field) == r
+        _check_against_reference(M[::4, :200], field)
+    assert (r1, piv1) == (r, piv) and np.array_equal(R1, R)
