@@ -293,13 +293,19 @@ def cmd_hilbert(args, field) -> tuple[int, dict]:
         J = symbolic_power_points(X, m)
         top = args.max_degree if args.max_degree is not None else m * regularity_points(X) + 1
         report["input"] = {"points": _points_json(X), "seed": X.seed}
+        # R/I_X^(m) is Cohen-Macaulay of dimension 1 and degree e: HF stays at e once it gets there
+        e = len(X) * comb(m + 1, 2)
     else:
         cfg = load_star(args.star, args.c, field, args.seed)
         J = symbolic_power_star_general(cfg, m)
         top = args.max_degree if args.max_degree is not None else max(g.degree for g in J.gens) + 2
         report["input"] = {"vars": cfg.num_vars, "c": cfg.c, "degrees": cfg.degrees}
+        e = None  # every degree of a star's HF is read off its piece
+    hf: list[int] = []
+    for d in range(top + 1):
+        hf.append(e if hf and hf[-1] == e else J.hilbert_function(d))
     report["m"] = m
-    report["hilbert_function"] = [J.hilbert_function(d) for d in range(top + 1)]
+    report["hilbert_function"] = hf
     report["max_degree"] = top
     return EXIT_OK, report
 
@@ -545,18 +551,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True, degree_bound=True):
+    def common(p, degree_bound=True):
         p.add_argument("--field", type=int, default=32003, help=FIELD_HELP)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--json", action="store_true", help="canonical JSON on stdout")
         if degree_bound:
             p.add_argument("--degree-bound", type=degree_flag, default=None)
-        if with_input:
-            g = p.add_mutually_exclusive_group(required=True)
-            g.add_argument("--points", help="file of a:b:c rows, or random:s=8,seed=1")
-            g.add_argument("--lines", help="file of linear forms, or random:s=5,seed=3")
-            g.add_argument("--star", help="JSON config file, or random:degrees=[1,1,2,2],seed=7")
-            p.add_argument("--c", type=int, default=None, help="codimension for --star")
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--points", help="file of a:b:c rows, or random:s=8,seed=1")
+        g.add_argument("--lines", help="file of linear forms, or random:s=5,seed=3")
+        g.add_argument("--star", help="JSON config file, or random:degrees=[1,1,2,2],seed=7")
+        p.add_argument("--c", type=int, default=None, help="codimension for --star")
 
     p = sub.add_parser("sdefect", help="symbolic defect report")
     common(p)

@@ -133,7 +133,7 @@ class GradedIdeal:
             raise ValueError("degree must be non-negative")
         if d not in self._pieces:
             rows = multiples(self.num_vars, self.gens, d, self.field)
-            self._pieces[d] = Subspace.from_rows(rows, self.field, basis_size(self.num_vars, d))
+            self._pieces[d] = Subspace.from_rows(rows, self.field)
         return self._pieces[d]
 
     def hilbert_function(self, d: int) -> int:
@@ -215,15 +215,13 @@ def multiples(num_vars: int, forms: list[HomogPoly], d: int, field: Field) -> np
     return out
 
 
-def _place_multiples(
-    out: np.ndarray, exps: np.ndarray, coeffs: np.ndarray, k: int, row: int | np.ndarray = 0, col: int = 0
-):
+def _place_multiples(out: np.ndarray, exps: np.ndarray, coeffs: np.ndarray, k: int, row: np.ndarray, col: int = 0):
     """Write basis(k)[i] * coeffs[t] x^exps[t] into row row[t] + i of out.
 
-    ``row`` is one start row for every term, or one per term; the terms of
-    one start row have distinct exponent rows, all of one degree.  The
-    products land in the columns of their degree's basis, shifted by col.
-    One ``product_positions`` call, one fancy-index assignment.
+    ``row`` holds one start row per term; the terms of one start row have
+    distinct exponent rows, all of one degree.  The products land in the
+    columns of their degree's basis, shifted by col.  One
+    ``product_positions`` call, one fancy-index assignment.
     """
     pos = product_positions(basis_exponents(exps.shape[1], k), exps)
     out[row + np.arange(pos.shape[0])[:, None], col + pos] = coeffs

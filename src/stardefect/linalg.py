@@ -33,7 +33,8 @@ rows.  This is exact: a repeated or zero row adds nothing to the row space,
 and a zero column is zero in every vector of it, so it never holds a pivot
 and is a free column of every kernel.  ``echelon`` puts the kept columns
 back in place, so rank, pivots, the canonical RREF and kernels are those of
-the whole matrix.  Containment tests only the distinct nonzero rows.
+the whole matrix.  Containment tests the rows of V as they are: repeats
+among them are rare, and dropping them first saved no time.
 
 ``one_blas_thread()`` runs its body on one OpenBLAS thread.  The CLI enters
 it once per command: a second thread saves these products no wall time and
@@ -478,17 +479,13 @@ def _row_weights(n: int) -> np.ndarray:
 def _distinct_rows(M: np.ndarray) -> np.ndarray | None:
     """Indices of the nonzero rows of M that repeat no earlier row, in order.
 
-    ``None`` when that is every row, or when M has fewer than
-    ``_SMALL_COMPRESS`` cells, which are left as they are.  Rows are
-    grouped by one wrapping int64 product with fixed weights, and a row is
-    dropped only if it equals its group's first row entry for entry, so a
-    hash collision can keep a row but never drop one.  Raw entries are
-    compared: a raw zero or repeated row is one mod p too, so unreduced
-    input needs no reduction first.
+    ``None`` when that is every row.  Rows are grouped by one wrapping int64
+    product with fixed weights, and a row is dropped only if it equals its
+    group's first row entry for entry, so a hash collision can keep a row
+    but never drop one.  Raw entries are compared: a raw zero or repeated
+    row is one mod p too, so unreduced input needs no reduction first.
     """
     m = M.shape[0]
-    if M.size < _SMALL_COMPRESS:
-        return None
     h = M @ _row_weights(M.shape[1])
     _, lead, group = np.unique(h, return_index=True, return_inverse=True)
     first = lead[group]  # the first row with the same hash
@@ -627,33 +624,35 @@ class Subspace:
     """
 
     field: Field
-    ambient_dim: int
     basis: np.ndarray  # dim x ambient_dim, reduced row echelon form
     pivots: tuple[int, ...]
 
     @staticmethod
-    def from_rows(rows: np.ndarray, field: Field, ambient_dim: int | None = None) -> "Subspace":
-        if ambient_dim is None:
-            ambient_dim = rows.shape[1]
+    def from_rows(rows: np.ndarray, field: Field) -> "Subspace":
+        """The row space of ``rows``, in the ambient space of their width."""
         if rows.size == 0:
-            return Subspace.zero(ambient_dim, field)
+            return Subspace.zero(rows.shape[1], field)
         r, A, pivots = rref(rows, field)
-        return Subspace(field, ambient_dim, A[:r], pivots)
+        return Subspace(field, A[:r], pivots)
 
     @staticmethod
     def kernel(M: np.ndarray, field: Field) -> "Subspace":
         """The right kernel {v : M v = 0}, held by its canonical basis (RREF, no zero rows)."""
         K = kernel_basis(M, field)
         pivots = tuple(np.argmax(K != 0, axis=1).tolist()) if K.size else ()
-        return Subspace(field, M.shape[1], K, pivots)
+        return Subspace(field, K, pivots)
 
     @staticmethod
     def zero(ambient_dim: int, field: Field) -> "Subspace":
-        return Subspace(field, ambient_dim, field.zeros((0, ambient_dim)), ())
+        return Subspace(field, field.zeros((0, ambient_dim)), ())
 
     @staticmethod
     def full(ambient_dim: int, field: Field) -> "Subspace":
-        return Subspace(field, ambient_dim, _identity(ambient_dim, field), tuple(range(ambient_dim)))
+        return Subspace(field, _identity(ambient_dim, field), tuple(range(ambient_dim)))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[1]
 
     @property
     def dim(self) -> int:
@@ -675,21 +674,14 @@ class Subspace:
     def contains_rows(self, V: np.ndarray) -> bool:
         """Whether every row of V, of width ``ambient_dim``, lies in the subspace.
 
-        Over GF(p) only the distinct nonzero rows of V are tested
-        (:func:`_distinct_rows`): a zero row lies in every subspace and a
-        repeated row with its first copy.  The columns all stay, as a
-        residual can be nonzero where V is zero.  The residual's column
-        classes are found once; it is formed ``_BLOCK_CELLS`` cells at a time
-        and the answer is False at the first block with a nonzero entry.
+        The residual's column classes are found once; it is formed
+        ``_BLOCK_CELLS`` cells at a time and the answer is False at the first
+        block with a nonzero entry.
         """
         if V.shape[-1] != self.ambient_dim:
             raise ValueError("vector dimension mismatch")
         if V.size == 0:
             return True
-        if isinstance(self.field, PrimeField):
-            rows = _distinct_rows(V)
-            if rows is not None:
-                V = V[rows]
         residual = _residual(self.basis, self.pivots, self.field)
         step = max(1, _BLOCK_CELLS // V.shape[1])
         return not any(np.any(residual(V[s : s + step])) for s in range(0, V.shape[0], step))
@@ -711,7 +703,7 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         rows = np.concatenate([self.basis, other.basis], axis=0)
-        return Subspace.from_rows(rows, self.field, self.ambient_dim)
+        return Subspace.from_rows(rows, self.field)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

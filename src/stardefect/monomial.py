@@ -16,7 +16,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .poly import Monomial
+from .poly import Monomial, format_monomial
 
 
 def _rows(monos) -> np.ndarray:
@@ -267,19 +267,6 @@ def verify_support_decomposition(n: int, c: int, m: int) -> bool:
     lhs = symbolic_power_star(n, c, m)
     rhs = star_monomial(n, c).power(m).sum(support_filtered_ideal(n, c, m))
     return lhs == rhs
-
-
-def format_monomial(m: Monomial, letter: str = "x") -> str:
-    offset = 1 if letter == "y" else 0
-    if not any(m):
-        return "1"
-    parts = []
-    for j, e in enumerate(m):
-        if e == 1:
-            parts.append(f"{letter}{j + offset}")
-        elif e > 1:
-            parts.append(f"{letter}{j + offset}^{e}")
-    return "*".join(parts)
 
 
 def star_report(n: int, c: int, m: int) -> dict:

@@ -85,9 +85,8 @@ class PointSet:
         return len(self.points)
 
 
-def make_point_set(coord_rows, field: PrimeField, seed=None, certificate=None) -> PointSet:
-    pts = tuple(normalize_point(row, field) for row in coord_rows)
-    return PointSet(pts, field, seed, certificate)
+def make_point_set(coord_rows, field: PrimeField) -> PointSet:
+    return PointSet(tuple(normalize_point(row, field) for row in coord_rows), field)
 
 
 def point_linear_forms(point, field: PrimeField) -> tuple[HomogPoly, HomogPoly]:
@@ -293,14 +292,13 @@ def symbolic_power_points(X: PointSet, m: int) -> GradedIdeal:
 def symbolic_piece_by_intersection(X: PointSet, m: int, d: int) -> Subspace:
     """Oracle route: intersect per-point spans of l1^a l2^(m-a) R_{d-m}."""
     field = X.field
-    N = basis_size(3, d)
     if d < m:
-        return Subspace.zero(N, field)
+        return Subspace.zero(basis_size(3, d), field)
     out: Subspace | None = None
     for pt in X.points:
         l1, l2 = point_linear_forms(pt, field)
         forms = [multiply(power(l1, a), power(l2, m - a)) for a in range(m + 1)]
-        span = Subspace.from_rows(multiples(3, forms, d, field), field, N)
+        span = Subspace.from_rows(multiples(3, forms, d, field), field)
         out = span if out is None else out.intersect(span)
     return out
 

@@ -72,14 +72,9 @@ def basis_exponents(num_vars: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _binom_table(n_max: int) -> np.ndarray:
-    """T[k, n] = binom(n, k) for 0 <= k, n <= n_max; row k is contiguous."""
-    T = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
-    for n in range(n_max + 1):
-        T[0, n] = 1
-        for k in range(1, n + 1):
-            T[k, n] = T[k - 1, n - 1] + T[k, n - 1]
-    return T
+def _binom_table(rows: int, n_max: int) -> np.ndarray:
+    """T[k, n] = binom(n, k) for 0 <= k < rows and 0 <= n <= n_max; row k is contiguous."""
+    return np.array([[comb(n, k) for n in range(n_max + 1)] for k in range(rows)], dtype=np.int64)
 
 
 def rank_exponents(exps: np.ndarray) -> np.ndarray:
@@ -92,7 +87,7 @@ def rank_exponents(exps: np.ndarray) -> np.ndarray:
     exps = np.asarray(exps, dtype=np.int64)
     v = exps.shape[1]
     rem = exps.sum(axis=1)
-    T = _binom_table(int(rem.max(initial=0)) + v)
+    T = _binom_table(v, int(rem.max(initial=0)) + v)
     out = np.zeros(len(exps), dtype=np.int64)
     for k in range(v - 1):
         rem -= exps[:, k]
@@ -444,24 +439,20 @@ def _parse_terms(text: str):
     return terms, letter or "x", max_index
 
 
-def format_poly(f: HomogPoly, letter: str = "x") -> str:
+def format_monomial(m: Monomial) -> str:
+    """``x0^2*x2`` style text of a monomial; ``1`` for the empty product."""
+    return "*".join(f"x{j}^{e}" if e > 1 else f"x{j}" for j, e in enumerate(m) if e) or "1"
+
+
+def format_poly(f: HomogPoly) -> str:
     """Canonical text form (terms in descending lex order, the basis order)."""
     if f.is_zero:
         return "0"
-    offset = 1 if letter == "y" else 0
     parts = []
     for m in sorted(f.terms, reverse=True):
-        c = f.terms[m]
-        factors = []
-        for j, e in enumerate(m):
-            if e == 1:
-                factors.append(f"{letter}{j + offset}")
-            elif e > 1:
-                factors.append(f"{letter}{j + offset}^{e}")
-        body = "*".join(factors)
-        cs = str(c)
-        if body and cs == "1":
-            parts.append(body)
+        c = str(f.terms[m])
+        if any(m):
+            parts.append(format_monomial(m) if c == "1" else f"{c}*{format_monomial(m)}")
         else:
-            parts.append(f"{cs}*{body}" if body else cs)
+            parts.append(c)
     return " + ".join(parts)

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
-from .gradedideal import BettiTable, GradedIdeal, graded_betti, ideals_equal, multiples
+from .gradedideal import BettiTable, GradedIdeal, betti_from_weyman, graded_betti, ideals_equal, multiples
 from .linalg import Field, PrimeField, Subspace, matmul_mod, rank
 from .monomial import uniform_star, uniform_symbolic_power
 from .points import RETRY_CAP, power_ideal, splitmix64
@@ -208,18 +207,6 @@ def verify_cube_decomposition_general(cfg: StarConfig) -> bool:
 # the codimension-two colon identity and resolutions
 # ---------------------------------------------------------------------------
 
-def colon_by_form_piece(J: GradedIdeal, F: HomogPoly, t: int) -> Subspace:
-    """Degree-t piece of (J : F) = {g : g F in J}, via a solvability kernel."""
-    field = J.field
-    nv = J.num_vars
-    M = multiples(nv, [F], t + F.degree, field)  # rows: (mono * F) for mono in basis(t)
-    target = J.graded_piece(t + F.degree)
-    cond = target.conditions()
-    if cond.shape[0] == 0:
-        return Subspace.full(basis_size(nv, t), field)
-    return Subspace.kernel(matmul_mod(cond, M.T.copy(), field), field)
-
-
 def colon_lemma_check(cfg: StarConfig) -> bool:
     """Both parts of the colon identity for c = 2.
 
@@ -229,8 +216,9 @@ def colon_lemma_check(cfg: StarConfig) -> bool:
     pieces equal the I_{3,F} pieces through one degree past every generator
     of I_{3,F}.  That puts each generator g of degree t in the colon piece
     of degree t, so gF lies in I^2: a membership test of gF per generator
-    fails only where this check does, and is not run.  Each colon piece
-    serves both parts.
+    fails only where this check does, and is not run.  The colon piece in
+    degree t is the kernel of the conditions of (I^2)_{t+d} on the rows
+    basis(t)·F, which also span <F> in degree t + d; both parts read them.
     """
     if cfg.c != 2:
         raise ValueError("the colon identity is a c = 2 statement")
@@ -247,36 +235,27 @@ def colon_lemma_check(cfg: StarConfig) -> bool:
     # (ii) I^2 ∩ <F> = F * [I^2 : F] in degree t + d
     bound = max(g.degree for g in i3.gens) + 1
     for t in range(bound + 1):
-        colon_t = colon_by_form_piece(i2, F, t)
+        M = multiples(nv, [F], t + d, field)  # basis(t) * F rows
+        target = i2.graded_piece(t + d)
+        colon_t = Subspace.kernel(matmul_mod(target.conditions(), M.T.copy(), field), field)
         if colon_t != i3.graded_piece(t):
             return False
-        M = multiples(nv, [F], t + d, field)  # basis(t) * F rows
-        N = basis_size(nv, t + d)
-        inter = i2.graded_piece(t + d).intersect(Subspace.from_rows(M, field, N))
-        if colon_t.dim:
-            prod = Subspace.from_rows(matmul_mod(colon_t.basis, M, field), field, N)
-        else:
-            prod = Subspace.zero(N, field)
-        if inter != prod:
+        inter = target.intersect(Subspace.from_rows(M, field))
+        if inter != Subspace.from_rows(matmul_mod(colon_t.basis, M, field), field):
             return False
     return True
 
 
 def predicted_square_betti(degrees: list[int]) -> BettiTable:
-    """Closed-form Betti table of I_{2,F}^2 from the form degrees."""
-    degrees = sorted(degrees)
-    s = len(degrees)
+    """Closed-form Betti table of I_{2,F}^2 from the form degrees.
+
+    I_{2,F} is resolved by its Hilbert-Burch complex: one generator of
+    degree d - d_i per form, s - 1 syzygies of degree d (d the sum of the
+    form degrees), and the square's table is Weyman's complex on it.
+    """
     d = sum(degrees)
-    out: dict[tuple[int, int], int] = {}
-    for i in range(s):
-        for j in range(i, s):
-            key = (0, 2 * d - degrees[i] - degrees[j])
-            out[key] = out.get(key, 0) + 1
-    for i in range(s):
-        key = (1, 2 * d - degrees[i])
-        out[key] = out.get(key, 0) + (s - 1)
-    out[(2, 2 * d)] = comb(s - 1, 2)
-    return BettiTable.from_dict(out)
+    hilbert_burch = {(0, d - e): degrees.count(e) for e in degrees} | {(1, d): len(degrees) - 1}
+    return betti_from_weyman(BettiTable.from_dict(hilbert_burch))
 
 
 def predicted_symbolic_square_betti(degrees: list[int]) -> BettiTable:

@@ -90,3 +90,28 @@ def test_self_check_job_reaches_every_pinned_span():
     assert out["code"] == 0
     missing = sorted(set(literal(run, "SELF_CHECK_SPANS")) - set(out["spans"]))
     assert not missing, f"spans with no recorded call: {missing}"
+
+
+# Installs the worker's Betti probe, runs the resolution-thm job in a fresh
+# interpreter and prints the exit code and the tables the probe recorded.
+_PROBED_JOB = """
+import contextlib, io, json
+import stardefect.cli
+from worker import install_betti_probe
+
+records = install_betti_probe()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = stardefect.cli.main(["verify", "resolution-thm", "--seed", "1", "--json"])
+print(json.dumps({"code": code, "betti": records}))
+"""
+
+
+def test_resolution_thm_job_reaches_the_betti_probe_once_per_expected_table():
+    expected = json.loads((PERFBENCH / "expected.json").read_text())["resolution-thm"]["betti"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(PERFBENCH)]))
+    proc = subprocess.run([sys.executable, "-c", _PROBED_JOB], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["code"] == 0
+    assert len(out["betti"]) == len(expected) == 7
+    assert out["betti"] == expected

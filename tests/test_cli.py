@@ -318,6 +318,26 @@ def test_verify_seed_defaults_to_one(capsys, argv):
     assert json.loads(default)["ok"] and default == one
 
 
+@pytest.mark.parametrize("argv", [["--points", "random:s=3,seed=1"], ["--lines", "random:s=4,seed=2", "--m", "2"]])
+def test_hilbert_of_points_builds_no_piece_past_sigma(capsys, monkeypatch, argv):
+    # R/I_X^(m) is Cohen-Macaulay of dimension 1: HF reaches e at sigma and stays there
+    built = []
+    piece = gradedideal.GradedIdeal.graded_piece
+
+    def spy(J, d):
+        if d not in J._pieces:
+            built.append(d)
+        return piece(J, d)
+
+    monkeypatch.setattr(gradedideal.GradedIdeal, "graded_piece", spy)
+    code, out = run(capsys, "hilbert", *argv, "--max-degree", "40", "--json")
+    assert code == 0
+    hf = json.loads(out)["hilbert_function"]
+    sigma = hf.index(hf[-1])
+    assert len(hf) == 41 and hf[sigma:] == [hf[-1]] * (41 - sigma) and sigma < 10
+    assert not [d for d in built if d > sigma + 1]
+
+
 def test_hilbert_rejects_degree_bound(capsys):
     # --max-degree is the hilbert bound; --degree-bound is not a hilbert flag
     assert main(["hilbert", "--points", "random:s=3,seed=1", "--degree-bound", "1", "--json"]) == 1

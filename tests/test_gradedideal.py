@@ -546,7 +546,7 @@ def _shift_route(J: GradedIdeal, d: int, below: Subspace) -> Subspace:
     """The old construction, kept as an oracle: J_{d-1} times every variable, plus G_d."""
     shifted = _shift_rows(FreeModuleLayout(J.num_vars, (0,)), below.basis, d - 1, J.field)
     new = multiples(J.num_vars, [g for g in J.gens if g.degree == d], d, J.field)
-    return Subspace.from_rows(np.concatenate([shifted, new]), J.field, basis_size(J.num_vars, d))
+    return Subspace.from_rows(np.concatenate([shifted, new]), J.field)
 
 
 @pytest.mark.parametrize("field", [PrimeField(5), GF32003, QQ], ids=str)

@@ -76,6 +76,13 @@ def test_subspace_kernel_pivots_are_leading_columns(field):
         assert S.pivots == ref and len(ref) == S.dim == cols - rank(M, field)
 
 
+@pytest.mark.parametrize("field", [GF32003, QQ], ids=str)
+def test_an_empty_row_set_keeps_its_width(field):
+    # the ambient dimension is read off the rows, also when there are none
+    assert Subspace.from_rows(field.zeros((0, 6)), field).ambient_dim == 6
+    assert Subspace.kernel(field.zeros((0, 6)), field) == Subspace.full(6, field)
+
+
 def test_intersect_coordinate_subspaces():
     f = GF32003
     A = Subspace.from_rows(f.matrix([[1, 0, 0], [0, 1, 0]]), f)

@@ -180,7 +180,7 @@ def test_symbolic_power_m1_is_points_ideal():
     J = symbolic_power_points(X, 1)
     for d in range(regularity_points(X) + 3):
         K = kernel_basis(_evaluation_matrix(X, d), X.field)
-        assert J.graded_piece(d) == Subspace.from_rows(K, X.field, basis_size(3, d)), d
+        assert J.graded_piece(d) == Subspace.from_rows(K, X.field), d
 
 
 def test_sdefect_points_known_small_values():

@@ -56,6 +56,11 @@ def test_rank_exponents_matches_enumeration(nv, d):
     assert np.array_equal(rank_exponents(exps), np.arange(basis_size(nv, d)))
 
 
+def test_rank_exponents_at_degrees_whose_binomials_pass_int64():
+    # binom(92, 46) > 2**63: only the binomials the ranks read may be formed
+    assert np.array_equal(rank_exponents(basis_exponents(3, 90)), np.arange(basis_size(3, 90)))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 5), st.integers(0, 5), st.integers(0, 4), st.integers(0, 10**6))
 def test_product_positions_match_mono_index(nv, k, e, seed):

@@ -153,6 +153,18 @@ def test_predicted_tables_shapes():
     assert sq.row(0) == {10: 3, 9: 4, 8: 3}
 
 
+@pytest.mark.parametrize(
+    "degrees, table",
+    [
+        ([1, 1, 1], [[0, 4, 6], [1, 5, 6], [2, 6, 1]]),
+        ([1, 2, 2, 3], [[0, 10, 1], [0, 11, 2], [0, 12, 4], [0, 13, 2], [0, 14, 1], [1, 13, 3], [1, 14, 6], [1, 15, 3], [2, 16, 3]]),
+    ],
+)
+def test_predicted_square_betti_is_the_computed_table(degrees, table):
+    # the square tables the benchmark's Betti probe expects (perfbench/expected.json)
+    assert predicted_square_betti(degrees).as_dict() == {(i, j): r for i, j, r in table}
+
+
 def test_resolution_theorems_p2_lines():
     for s in (4, 5):
         lines = random_general_lines(s, 1)
