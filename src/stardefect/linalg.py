@@ -27,14 +27,13 @@ matrix has at least PANEL distinct leading columns, or at least half as
 many as nonzero rows.  The solve reduces after every PANEL-term product
 (``_dot_mod`` chunks longer ones), so it is exact up to p = 8388593 too.
 
-Before a GF(p) matrix of at least ``_SMALL_COMPRESS`` cells is eliminated,
-``_compress`` drops its zero columns, zero rows and exact repeats of earlier
-rows.  This is exact: a repeated or zero row adds nothing to the row space,
-and a zero column is zero in every vector of it, so it never holds a pivot
-and is a free column of every kernel.  ``echelon`` puts the kept columns
-back in place, so rank, pivots, the canonical RREF and kernels are those of
-the whole matrix.  Containment tests the rows of V as they are: repeats
-among them are rare, and dropping them first saved no time.
+Before a GF(p) matrix is eliminated, ``_compress`` drops its zero columns.
+This is exact: a zero column is zero in every vector of the row space, so
+it never holds a pivot and is a free column of every kernel.  ``echelon``
+puts the kept columns back in place, so rank, pivots, the canonical RREF
+and kernels are those of the whole matrix.  Rows are kept as they are: a
+zero row has no leading column, and preselection reduces a repeat of a
+row it selects to zero in its bulk products.
 
 ``one_blas_thread()`` runs its body on one OpenBLAS thread.  The CLI enters
 it once per command: a second thread saves these products no wall time and
@@ -55,8 +54,7 @@ import numpy as np
 
 _PANEL = 64  # pivot block width for the BLAS-backed elimination
 _SMALL_MOD = 512  # np.remainder beats the floor quotient up to this many entries
-_SMALL_COMPRESS = 1 << 16  # matrices with fewer cells go to elimination as they are
-_BLOCK_CELLS = 1 << 20  # row comparisons and residuals run this many cells at a time
+_BLOCK_CELLS = 1 << 20  # containment residuals are formed this many cells at a time
 _BLAS_THREAD_SYMBOLS = (  # (get, set) thread-count pairs, as numpy's OpenBLAS builds name them
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
@@ -364,12 +362,11 @@ def _eliminate(M: np.ndarray, p: int):
 
     Each block of ``_PANEL`` columns is brought up to date against earlier
     pivot rows with BLAS products (``_dot_mod``), then eliminated pivot by
-    pivot.  A pivot reduces its column once and its scaled row once; the
-    rows below only subtract products of two entries in [0, p), so they
-    stay within PANEL*(p-1)**2 < 2**52.  The pivot row is scaled unreduced
-    when PANEL*p**3 < 2**53 (p <= 52015, so 32003) and reduced first
-    otherwise.  The inverse factor ``Linv`` that gives pivot rows their
-    values in later blocks is built only when a later block exists.
+    pivot.  A pivot reduces its column once, and its row before and after
+    scaling it, at every p; the rows below only subtract products of two
+    entries in [0, p), so they stay within PANEL*(p-1)**2 < 2**52.  The
+    inverse factor ``Linv`` that gives pivot rows their values in later
+    blocks is built only when a later block exists.
 
     Returns ``(rank, E, pivots)`` as :func:`_echelon_gfp` does.
     """
@@ -380,7 +377,6 @@ def _eliminate(M: np.ndarray, p: int):
     E = np.zeros((rmax, ncols))  # echelon rows, filled pivot by pivot
     chunks: list[tuple[int, int, np.ndarray]] = []  # (start, end, Linv)
     pivots: list[int] = []
-    scale_unreduced = _PANEL * p**3 < 2**53
     r = 0
     for c0 in range(0, ncols, _PANEL):
         c1 = min(c0 + _PANEL, ncols)
@@ -412,9 +408,7 @@ def _eliminate(M: np.ndarray, p: int):
                 F[[g, g + i], :g] = F[[g + i, g], :g]
                 perm[[g, g + i]] = perm[[g + i, g]]
             inv = pow(int(col[0]), p - 2, p)
-            prow = cur[rr, c:]
-            if not scale_unreduced:
-                _mod_p(prow, p)
+            prow = _mod_p(cur[rr, c:], p)
             prow *= inv
             _mod_p(prow, p)
             E[g, c0 + c : c1] = prow
@@ -468,51 +462,14 @@ def _reduce_up_gfp(A: np.ndarray, pivots: list[int], p: int):
     return A
 
 
-def _row_weights(n: int) -> np.ndarray:
-    """Fixed int64 weights of n columns: the splitmix64 finalizer of 1..n."""
-    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return (z ^ (z >> np.uint64(31))).view(np.int64)
-
-
-def _distinct_rows(M: np.ndarray) -> np.ndarray | None:
-    """Indices of the nonzero rows of M that repeat no earlier row, in order.
-
-    ``None`` when that is every row.  Rows are grouped by one wrapping int64
-    product with fixed weights, and a row is dropped only if it equals its
-    group's first row entry for entry, so a hash collision can keep a row
-    but never drop one.  Raw entries are compared: a raw zero or repeated
-    row is one mod p too, so unreduced input needs no reduction first.
-    """
-    m = M.shape[0]
-    h = M @ _row_weights(M.shape[1])
-    _, lead, group = np.unique(h, return_index=True, return_inverse=True)
-    first = lead[group]  # the first row with the same hash
-    keep = first == np.arange(m)
-    later = np.flatnonzero(~keep)
-    step = max(1, _BLOCK_CELLS // M.shape[1])
-    for s in range(0, later.size, step):  # bounded copies for the comparison
-        rows = later[s : s + step]
-        keep[rows] = np.any(M[rows] != M[first[rows]], axis=1)
-    zero = np.flatnonzero(keep & (h == 0))  # a zero row hashes to 0
-    keep[zero] = np.any(M[zero], axis=1)
-    return None if keep.all() else np.flatnonzero(keep)
-
-
 def _compress(M: np.ndarray):
-    """M without its zero columns, zero rows and repeated rows: ``(C, cols)``.
+    """M without its zero columns: ``(C, cols)``.
 
     ``cols`` are the kept column indices, or ``None`` when no column is
-    dropped; C is M itself, uncopied, when nothing is dropped.  C has the
-    row space of M with the zero columns left out.
+    zero; C is then M itself, uncopied.  C has the row space of M with the
+    zero columns left out, and is 0 columns wide when M is zero.
     """
-    if M.size < _SMALL_COMPRESS:
-        return M, None
-    rows = _distinct_rows(M)
     cols = np.flatnonzero(M.any(axis=0))
-    if rows is not None:
-        M = M[rows]
     if cols.size == M.shape[1]:
         return M, None
     return M[:, cols], cols
@@ -526,9 +483,8 @@ def echelon(M: np.ndarray, field: Field, reduced: bool = True):
     space (unit pivots, zeros above and below each pivot).  With
     ``reduced=False`` they are an echelon basis with the same pivots.
 
-    Over GF(p) the elimination runs on :func:`_compress` of M: without its
-    zero columns, zero rows and repeated rows.  Those rows add nothing to
-    the row space and those columns are zero in every vector of it, so the
+    Over GF(p) the elimination runs on :func:`_compress` of M, without its
+    zero columns.  They are zero in every vector of the row space, so the
     kept columns, put back in place with zeros between them, give the same
     rank, pivots and reduced basis.
     """
@@ -554,7 +510,7 @@ def rref(M: np.ndarray, field: Field):
 
 
 def rank(M: np.ndarray, field: Field) -> int:
-    """Rank of M.  Over GF(p) it is the rank of :func:`_compress` of M, which has the same row space."""
+    """Rank of M.  Over GF(p) it is the rank of :func:`_compress` of M, M without its zero columns."""
     if M.size == 0:
         return 0
     if isinstance(field, PrimeField):

@@ -317,9 +317,9 @@ def _blocked_cases(rng, p):
 
 @pytest.mark.parametrize("p", [5, 32003, 8388593])
 def test_blocked_paths_match_reference(p):
-    # at 8388593, the largest admitted prime, a pivot row is reduced before it
-    # is scaled; the unreduced rows match too, as both eliminations take the
-    # first nonzero row at or below the pivot position and swap it up
+    # up to 8388593, the largest admitted prime; the unreduced rows match
+    # too, as both eliminations take the first nonzero row at or below the
+    # pivot position and swap it up
     field = PrimeField(p)
     for M in _blocked_cases(np.random.default_rng(p), p):
         for reduced in (True, False):
@@ -394,35 +394,25 @@ def _check_against_reference(M, field):
 
 @pytest.mark.parametrize("p", [5, 32003, 8388593])
 def test_compressed_elimination_matches_reference(p, monkeypatch):
-    # compress every matrix, and form residuals a few rows at a time
-    monkeypatch.setattr(linalg, "_SMALL_COMPRESS", 0)
+    # form residuals a few rows at a time
     monkeypatch.setattr(linalg, "_BLOCK_CELLS", 64)
     field = PrimeField(p)
     rng = np.random.default_rng(p)
-    for _ in range(25):
-        M = _redundant(rng, int(rng.integers(4, 40)), int(rng.integers(2, 30)), p)
-        _check_against_reference(M, field)
-
-
-@pytest.mark.parametrize("weights", ["zero", "ones"])
-def test_compression_exact_under_hash_collisions(weights, monkeypatch):
-    # zero weights put every row in one group; unit weights group rows by
-    # their entry sums, so permuted rows collide without being equal
-    monkeypatch.setattr(linalg, "_SMALL_COMPRESS", 0)
-    value = {"zero": 0, "ones": 1}[weights]
-    monkeypatch.setattr(linalg, "_row_weights", lambda n: np.full(n, value, dtype=np.int64))
-    field = PrimeField(7)
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        M = _redundant(rng, int(rng.integers(4, 30)), int(rng.integers(2, 20)), 7)
-        M = np.concatenate([M, M[:, ::-1]], axis=0)  # reversed rows share the entry sum
+    last_only = np.zeros((6, 5), dtype=np.int64)
+    last_only[:, -1] = random_matrix(rng, 6, 1, p)[:, 0]
+    last_only[0, -1] = 1
+    # all-zero matrices and one nonzero column compress to width 0 and 1
+    cases = [np.zeros((3, 4), dtype=np.int64), np.zeros((300, 300), dtype=np.int64), last_only]
+    cases += [_redundant(rng, int(rng.integers(4, 40)), int(rng.integers(2, 30)), p) for _ in range(25)]
+    for M in cases:
         _check_against_reference(M, field)
 
 
 def test_compression_drops_only_redundancy():
+    # the only redundancy compression drops is a zero column
     p = 32003
     rng = np.random.default_rng(1)
-    M = np.zeros((300, 240), dtype=np.int64)  # above the size threshold
+    M = np.zeros((300, 240), dtype=np.int64)
     M[:100, ::2] = random_matrix(rng, 100, 120, p)
     M[100:200] = M[:100]  # repeats
     M[250] = 2 * M[3] % p  # a scalar multiple
@@ -430,10 +420,12 @@ def test_compression_drops_only_redundancy():
     M[251, 0] += p  # equal mod p, unequal raw
     C, cols = _compress(M)
     assert np.array_equal(cols, np.arange(0, 240, 2))
-    assert np.array_equal(C, np.concatenate([M[:100], M[250:252]])[:, ::2])
+    assert np.array_equal(C, M[:, cols])  # every row stays, zero rows too
     _check_against_reference(M, PrimeField(p))
-    same = random_matrix(rng, 300, 240, p)  # nothing to drop
-    assert _compress(same)[0] is same
+    same = random_matrix(rng, 300, 240, p) + 1  # no zero column
+    assert _compress(same)[0] is same and _compress(same)[1] is None
+    small = np.array([[0, 3], [0, 0]])
+    assert _compress(small)[1].tolist() == [1]
 
 
 def _led(rng, p, cols, leads, others, residual_rank):
@@ -462,7 +454,7 @@ def _led(rng, p, cols, leads, others, residual_rank):
 # (columns, distinct leading columns, other rows, residual rank, preselected)
 PRESELECT_CASES = {
     "many-leads": (120, 70, 150, 6, True),  # 70 >= _PANEL, under half the rows
-    "many-leads-compressed": (240, 80, 195, 9, True),  # 275 x 240 > _SMALL_COMPRESS cells
+    "many-leads-compressed": (240, 80, 195, 9, True),  # zero columns inserted: compression, then preselection
     "full-coverage": (60, 40, 30, 0, True),  # every other row reduces to zero
     "leads-only": (50, 45, 0, 0, True),  # nothing but leading rows
     "half-rows": (50, 20, 20, 4, True),  # 20 leads, 40 nonzero rows: at the gate
@@ -476,7 +468,9 @@ def test_preselected_elimination_matches_reference(p, case, monkeypatch):
     cols, leads, others, residual_rank, preselected = PRESELECT_CASES[case]
     field = PrimeField(p)
     M = _led(np.random.default_rng([p, cols, others]), p, cols, leads, others, residual_rank)
-    assert (M.size >= linalg._SMALL_COMPRESS) == (case == "many-leads-compressed")
+    if case == "many-leads-compressed":
+        M = np.insert(M, np.arange(1, cols, 3), 0, axis=1)
+        assert _compress(M)[1] is not None
     seen = []
     loop = linalg._eliminate
     monkeypatch.setattr(linalg, "_eliminate", lambda A, q: seen.append(A.shape[0]) or loop(A, q))

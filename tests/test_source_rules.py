@@ -11,9 +11,10 @@ imported nor run.  The rules:
 - no read of the process environment (``os.environ``, ``os.getenv``): the
   program's behaviour is set by its arguments and inputs, never by a hidden
   knob;
-- no dead code: every module-level function or class, and every method, is
-  named somewhere other than its own definition, in ``src/``, ``tests/`` or
-  ``perfbench/`` (special ``__dunder__`` methods are called by Python).
+- no dead code: every module-level function, class or assigned name, and
+  every method, is named somewhere other than its own definition, in
+  ``src/``, ``tests/`` or ``perfbench/`` (``__dunder__`` names are read by
+  Python).
 """
 
 import ast
@@ -69,22 +70,31 @@ def names_used(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return out
 
 
-def definitions(tree: ast.Module) -> list[ast.AST]:
-    """Module-level functions and classes, and the methods of those classes."""
+def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Module-level functions, classes and assigned names, and the methods of
+    those classes, each with the statement that defines it."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     top = [n for n in tree.body if isinstance(n, kinds)]
     methods = [m for c in top if isinstance(c, ast.ClassDef) for m in c.body if isinstance(m, kinds[:2])]
-    return top + methods
+    assigned = [
+        (t.id, n)
+        for n in tree.body
+        if isinstance(n, (ast.Assign, ast.AnnAssign))
+        for target in (n.targets if isinstance(n, ast.Assign) else [n.target])
+        for t in (target.elts if isinstance(target, ast.Tuple) else [target])
+        if isinstance(t, ast.Name)
+    ]
+    return [(d.name, d) for d in top + methods] + assigned
 
 
 def unnamed_definitions(tree: ast.Module, elsewhere: set[str]) -> list[int]:
-    """Lines of definitions named neither in ``elsewhere`` nor in the module outside their own body."""
+    """Lines of definitions named neither in ``elsewhere`` nor in the module outside their own statement."""
     return [
         d.lineno
-        for d in definitions(tree)
-        if not (d.name.startswith("__") and d.name.endswith("__"))
-        and d.name not in elsewhere
-        and d.name not in names_used(tree, skip=d)
+        for name, d in definitions(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in elsewhere
+        and name not in names_used(tree, skip=d)
     ]
 
 
@@ -152,8 +162,10 @@ def test_package_source_has_no_dead_code():
         ("def again(n):\n    return again(n - 1) if n else 0\n", [1]),
         ("class A:\n    def __init__(self):\n        self.x = 1\n\n    def stale(self):\n        return self.x\n\nA()\n", [5]),
         ("class Unused:\n    pass\n", [1]),
+        ("_UNUSED = 3\n", [1]),
+        ("USED: int = 1\nSTALE, ALSO = USED, 2\n__all__ = []\n", [2, 2]),
     ],
-    ids=["unused-function", "only-named-in-its-own-body", "unused-method", "unused-class"],
+    ids=["unused-function", "only-named-in-its-own-body", "unused-method", "unused-class", "unused-constant", "unused-assigned-names"],
 )
 def test_dead_code_rule_catches_its_violation(source, dead):
     assert unnamed_definitions(ast.parse(source), set()) == dead
@@ -162,5 +174,5 @@ def test_dead_code_rule_catches_its_violation(source, dead):
 def test_dead_code_rule_passes_names_used_elsewhere_or_by_string():
     source = "def f():\n    return 1\n\nclass A:\n    def g(self):\n        return 2\n"
     assert unnamed_definitions(ast.parse(source), {"f", "A", "g"}) == []
-    assert unnamed_definitions(ast.parse(source + "\nSPANS = ['mod.f', 'A.g']\nA\n"), set()) == []
+    assert unnamed_definitions(ast.parse(source + "\nSPANS = ['mod.f', 'A.g']\nA, SPANS\n"), set()) == []
     assert unnamed_definitions(ast.parse('"""f and A.g are named only here."""\n' + source), set()) == [2, 5, 6]
