@@ -315,7 +315,6 @@ def cmd_betti(args, field) -> tuple[int, dict]:
     m = parse_power(args.m)
     if args.points or args.lines:
         X = load_point_input(args, field)
-        # beta_{i,j} != 0 only for j <= reg(I_X^(m)) + i <= m*reg(I_X) + 1 (Hilbert-Burch)
         ceiling = m * regularity_points(X) + 1
         J = symbolic_power_points(X, m)
         report["input"] = {"points": _points_json(X), "seed": X.seed}
@@ -329,7 +328,8 @@ def cmd_betti(args, field) -> tuple[int, dict]:
     report["m"] = m
     report["degree_bound"] = D
     report["ceiling"] = ceiling
-    report["betti_certified"] = D >= ceiling
+    report["regularity"] = table.regularity
+    report["betti_certified"] = D >= ceiling or table.regularity is not None
     report["betti"] = table.to_json()["betti"]
     report["display"] = table.display()
     return EXIT_OK, report

@@ -10,24 +10,40 @@ are exact and carry an explicit degree bound.
 
 Graded Betti numbers run the same Nakayama walk once per homological degree,
 on the kernels of maps of free modules (one column per generator and monomial).
+The walk stops at a regularity it certifies by the Bayer-Stillman criterion,
+with ranks in polynomial rings of fewer variables.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .linalg import Field, Subspace, echelon
+from .linalg import Field, Subspace, echelon, matmul_mod, rank
 from .poly import (
     HomogPoly,
     basis_exponents,
     basis_size,
     coefficient_vector,
+    multiply,
     poly_from_vector,
     product_positions,
+    rank_exponents,
 )
+
+
+def splitmix64(seed: int):
+    """The splitmix64 stream: 64-bit state, stable across platforms."""
+    state = seed & 0xFFFFFFFFFFFFFFFF
+    mask = 0xFFFFFFFFFFFFFFFF
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield (z ^ (z >> 31)) & mask
 
 
 @dataclass
@@ -41,14 +57,20 @@ class SdefectReport:
 
 @dataclass(frozen=True)
 class BettiTable:
-    """Graded Betti numbers: (homological index i, internal degree j) -> rank."""
+    """Graded Betti numbers: (homological index i, internal degree j) -> rank.
+
+    ``regularity`` is the certificate ``{"degree": r, "seed": s}`` under
+    which :func:`graded_betti` proved the ideal r-regular, or None; it
+    takes no part in equality.
+    """
 
     entries: tuple[tuple[tuple[int, int], int], ...]
+    regularity: dict | None = dataclass_field(default=None, compare=False)
 
     @staticmethod
-    def from_dict(d: dict[tuple[int, int], int]) -> "BettiTable":
+    def from_dict(d: dict[tuple[int, int], int], regularity: dict | None = None) -> "BettiTable":
         items = tuple(sorted((k, v) for k, v in d.items() if v))
-        return BettiTable(items)
+        return BettiTable(items, regularity)
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.entries)
@@ -371,16 +393,26 @@ def graded_betti(J: GradedIdeal, degree_bound: int) -> BettiTable:
     Level 0 keeps minimal generators of J among its pieces at its generator
     degrees; level i keeps those of the kernel K of the map from the free
     module F on the rows kept at level i - 1 (:func:`_kernel_steps`), which
-    span its image through the bound: K_j is formed only where dim F_j exceeds
-    the dimension level i - 1 walked at j (0 if it walked none), else K_j = 0.
-    The loop stops at the first level keeping nothing.  All values are exact
-    within the degree bound; the caller certifies the bound covers the table.
+    span its image through the degrees walked: K_j is formed only where dim
+    F_j exceeds the dimension level i - 1 walked at j (0 if it walked none),
+    else K_j = 0.  The loop stops at the first level keeping nothing.
+
+    The walk certifies r = reg(J) as it goes (:func:`_until_regular`):
+    before level 1 forms K_j for j >= t + 2, t the top generator degree, it
+    tries r = j - 2 with :func:`_bayer_stillman`.  On success level i walks
+    only through min(bound, r + i), as beta_{i,j}(J) = 0 for j > r + i
+    (Eisenbud-Goto, J. Algebra 88, 1984), and the table carries the
+    certificate as ``regularity``.  With none, every level walks to the
+    bound.  All values are exact within the degree bound; the table is
+    complete when the bound reaches r + 2, and otherwise when the caller
+    certifies that the bound covers it.
     """
     pieces = {d: J.graded_piece(d) for d in sorted({g.degree for g in J.gens if g.degree <= degree_bound})}
     walked = {d: piece.dim for d, piece in pieces.items()}
     steps = ((d, piece, None) for d, piece in pieces.items())
     layout = FreeModuleLayout(J.num_vars, (0,))
     entries: dict[tuple[int, int], int] = {}
+    regularity: dict = {}
     for i in range(3):
         reps: list[tuple[int, np.ndarray]] = []
         for d, piece, kept in _nakayama(layout, steps, J.field):
@@ -389,9 +421,12 @@ def graded_betti(J: GradedIdeal, degree_bound: int) -> BettiTable:
         if not reps or i == 2:
             break
         target, layout = layout, FreeModuleLayout(J.num_vars, tuple(d for d, _ in reps))
-        degrees = [j for j in range(reps[0][0], degree_bound + 1) if layout.piece_dim(j) > walked.get(j, 0)]
+        last = min(degree_bound, regularity["degree"] + i + 1) if regularity else degree_bound
+        degrees = [j for j in range(reps[0][0], last + 1) if layout.piece_dim(j) > walked.get(j, 0)]
         steps = _kernel_steps(reps, target, degrees, J.field, walked := {})
-    return BettiTable.from_dict(entries)
+        if i == 0:
+            steps = _until_regular(J, reps, layout, degrees, steps, walked, regularity)
+    return BettiTable.from_dict(entries, regularity or None)
 
 
 def _kernel_steps(
@@ -403,6 +438,117 @@ def _kernel_steps(
         kernel = Subspace.kernel(target.multiples(reps, j, field).T, field)
         dims[j] = kernel.dim
         yield j, kernel, None
+
+
+def _until_regular(
+    J: GradedIdeal,
+    gens: list[tuple[int, np.ndarray]],
+    source: FreeModuleLayout,
+    degrees: list[int],
+    steps: Iterator[tuple[int, Subspace, None]],
+    dims: dict[int, int],
+    found: dict,
+) -> Iterator[tuple[int, Subspace, None]]:
+    """The level-1 ``steps``, one per degree in ``degrees``, until J is certified r-regular.
+
+    ``gens`` are the minimal generators (e, row) of J, ``source`` the free
+    module on them, and ``dims`` the kernel dimensions the steps record.
+    Before step j >= t + 2 (t the top generator degree) is formed, dim J_d
+    = dim F_d - dim K_d is known at d = j - 2 and j - 1, with K_d = 0 where
+    it was not formed, and :func:`_bayer_stillman` tries r = j - 2 with
+    seed r - t.  On success ``found`` becomes {"degree": r, "seed": r - t},
+    dims[r + 2] is read off the certificate for the exactness count of
+    level 2, and the walk ends: beta_{1,j} = 0 for j > r + 1.
+    """
+    nv, t = J.num_vars, J.top_gen_degree()
+    steps = iter(steps)
+    for j in degrees:
+        r = j - 2
+        if r >= t:
+            hf = [basis_size(nv, d) - source.piece_dim(d) + dims.get(d, 0) for d in (r, r + 1)]
+            after = _bayer_stillman(gens, nv, r, hf, r - t, J.field)
+            if after is not None:
+                dims[r + 2] = source.piece_dim(r + 2) - basis_size(nv, r + 2) + after
+                found.update(degree=r, seed=r - t)
+                return
+        yield next(steps)
+
+
+def _bayer_stillman(
+    gens: list[tuple[int, np.ndarray]], num_vars: int, r: int, hf: list[int], seed: int, field: Field
+) -> int | None:
+    """HF(R/J)(r + 2) if the Bayer-Stillman criterion proves J r-regular, else None.
+
+    J is generated by ``gens`` (degree, row) in degrees <= r, and ``hf`` is
+    [HF(R/J)(r), HF(R/J)(r + 1)].  Criterion (Bayer-Stillman, Invent. Math.
+    87, 1987, Thm 1.10, (b) => (a)): if linear forms h_1..h_k satisfy
+    ((J, h_<i) : h_i)_r = (J, h_<i)_r for every i and (J, h_1..h_k)_r = R_r,
+    then J is r-regular.  The argument below uses nothing about the forms
+    or the field, so a failed draw is never wrong.
+
+    Lemma (cf. their Lemma 1.8).  Let I be generated in degrees <= r, h
+    linear, (I : h)_r = I_r and (I, h) r-regular.  Then (I : h)_d = I_d for
+    all d >= r, and I is r-regular.  Induction on d: let f be of degree
+    d + 1 with hf = sum a_k g_k, g_k the generators.  Modulo h, (a_k) is a
+    syzygy of degree d + 2 of the images of the g_k in R/(h); these
+    generate an r-regular ideal, so their syzygies are generated in
+    degrees <= r + 1.  Lifting them, a = sum b_l s_l + h c with
+    sum_k s_lk g_k = h u_l, u_l in (I : h) of degree <= r, and b_l of
+    positive degree; so f = sum b_l u_l + sum c_k g_k, and each b_l u_l is a
+    sum of x_v (I : h)_d = x_v I_d.  Then with M = R/I, N = M/hM and
+    K = 0 :_M h, zero from degree r on: H^0_m(M)_d = 0 for d >= r (no
+    power of h kills a nonzero element there), and for i >= 1 the sequence
+    0 -> (M/K)(-1) -> M -> N -> 0, with H^i(M/K) = H^i(M) and N
+    (r - 1)-regular, makes H^i(M)_e -> H^i(M)_{e+1} bijective for
+    e >= r - i; as these vanish for e >> 0, M is (r - 1)-regular.  Since
+    (J, h_1..h_k) contains R_r and is generated in degrees <= r, it is
+    r-regular, and the lemma carries that back to J one form at a time.
+
+    Computed: h_i = x_last - lin, drawn from ``splitmix64(seed)``, so
+    R/(h_<=i) is a polynomial ring in one variable fewer, reached by
+    substituting x_last -> lin (:func:`_substitution_matrix`), and the
+    image of J there is generated by the images of ``gens``.  With HF_i
+    the Hilbert function of that ring modulo the image, the colon condition
+    is multiplication by h_i injective from degree r, that is HF_i(r + 1)
+    = HF_{i-1}(r + 1) - HF_{i-1}(r); the last condition is HF_k(r) = 0.
+    In one variable the image is 0 or contains R_r (r >= 1 as J is not
+    zero), and h = x passes, so the substitutions stop there.  Injectivity
+    holds from r on, so HF_{i-1}(r + 2) = HF_{i-1}(r + 1) + HF_i(r + 2), and
+    HF(R/J)(r + 2) is the sum of all HF_i(r + 1).
+    """
+    stream = splitmix64(seed)
+    nv, after = num_vars, hf[1]
+    while hf[0] and nv > 1:
+        nv -= 1
+        lin = poly_from_vector(np.array([field.of(next(stream)) for _ in range(nv)], dtype=object), nv, 1, field)
+        gens = [
+            (e, row)
+            for e in sorted({e for e, _ in gens})
+            for row in matmul_mod(np.stack([g for f, g in gens if f == e]), _substitution_matrix(lin, e), field)
+        ]
+        layout = FreeModuleLayout(nv, (0,))
+        down = [basis_size(nv, d) - rank(layout.multiples(gens, d, field), field) for d in (r, r + 1)]
+        if down[1] != hf[1] - hf[0]:
+            return None
+        hf = down
+        after += hf[1]
+    return after
+
+
+def _substitution_matrix(lin: HomogPoly, d: int) -> np.ndarray:
+    """The map x_n -> lin from degree d in x_0..x_n to degree d in x_0..x_{n-1}, lin a linear form in those.
+
+    The basis monomial m x_n^k goes to m lin^k, the row of m among the
+    degree-d multiples of lin^k.
+    """
+    nv, field = lin.num_vars, lin.field
+    out = field.zeros((basis_size(nv + 1, d), basis_size(nv, d)))
+    power = HomogPoly(nv, 0, {(0,) * nv: field.of(1)}, field)
+    for k in range(d + 1):
+        head = basis_exponents(nv, d - k)
+        out[rank_exponents(np.column_stack([head, np.full(len(head), k)]))] = multiples(nv, [power], d, field)
+        power = multiply(power, lin)
+    return out
 
 
 def betti_from_weyman(resolution: BettiTable) -> BettiTable:

@@ -35,6 +35,10 @@ and kernels are those of the whole matrix.  Rows are kept as they are: a
 zero row has no leading column, and preselection reduces a repeat of a
 row it selects to zero in its bulk products.
 
+``Subspace.intersect`` works on one side's basis and the other side's
+conditions: the kernel of their product gives the intersection in the
+coordinates of that basis, already in RREF once mapped back.
+
 ``one_blas_thread()`` runs its body on one OpenBLAS thread.  The CLI enters
 it once per command: a second thread saves these products no wall time and
 spends CPU time spinning.  It restores the previous count on exit, so a
@@ -650,11 +654,24 @@ class Subspace:
         return _complement_rows(self.basis, self.pivots, self.ambient_dim, self.field)
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """The intersection, from this subspace's basis B and ``other``'s conditions C.
+
+        x B lies in ``other`` iff C B^T x^T = 0, so the intersection is X B,
+        X the RREF basis of the kernel of C B^T.  X B is already in RREF,
+        with pivots B's pivots at X's: on B's pivot columns B is the
+        identity, so X B reads X there, and row i of X B, a combination of
+        B's rows from X's pivot q_i on, is zero before B's pivot q_i.  The
+        one product is C B^T; neither side's conditions are stacked with
+        the other's.  ``colon_lemma_check`` calls it on (I^2)_{t+d} with
+        <F>_{t+d} as ``other``, so its oracle multiplies cond(<F>) by the
+        basis of (I^2)_{t+d}, never the colon kernel's cond(I^2) M^T.
+        """
         self._check_ambient(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim, self.field)
-        cond = np.concatenate([self.conditions(), other.conditions()], axis=0)
-        return Subspace.kernel(cond, self.field)
+        X = Subspace.kernel(matmul_mod(other.conditions(), self.basis.T, self.field), self.field)
+        basis = matmul_mod(X.basis, self.basis, self.field)
+        return Subspace(self.field, basis, tuple(self.pivots[q] for q in X.pivots))
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)

@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .gradedideal import GradedIdeal, SdefectReport, graded_betti, multiples, sdefect as lab_sdefect
+from .gradedideal import GradedIdeal, SdefectReport, graded_betti, multiples, sdefect as lab_sdefect, splitmix64
 from .linalg import PrimeField, Subspace, kernel_basis, rank
 from .poly import (
     HomogPoly,
@@ -46,18 +46,6 @@ RETRY_CAP = 40
 # ---------------------------------------------------------------------------
 # seeded sampling
 # ---------------------------------------------------------------------------
-
-def splitmix64(seed: int):
-    """The splitmix64 stream: 64-bit state, stable across platforms."""
-    state = seed & 0xFFFFFFFFFFFFFFFF
-    mask = 0xFFFFFFFFFFFFFFFF
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        yield (z ^ (z >> 31)) & mask
-
 
 def normalize_point(coords, field: PrimeField) -> tuple[int, int, int]:
     c = [field.of(x) for x in coords]

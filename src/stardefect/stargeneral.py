@@ -29,10 +29,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .gradedideal import BettiTable, GradedIdeal, betti_from_weyman, graded_betti, ideals_equal, multiples
+from .gradedideal import BettiTable, GradedIdeal, betti_from_weyman, graded_betti, ideals_equal, multiples, splitmix64
 from .linalg import Field, PrimeField, Subspace, matmul_mod, rank
 from .monomial import uniform_star, uniform_symbolic_power
-from .points import RETRY_CAP, power_ideal, splitmix64
+from .points import RETRY_CAP, power_ideal
 from .poly import HomogPoly, basis_size, multiply, poly_from_vector, substitute
 
 
@@ -219,6 +219,9 @@ def colon_lemma_check(cfg: StarConfig) -> bool:
     fails only where this check does, and is not run.  The colon piece in
     degree t is the kernel of the conditions of (I^2)_{t+d} on the rows
     basis(t)·F, which also span <F> in degree t + d; both parts read them.
+    Part (ii) calls ``(I^2)_{t+d}.intersect(<F>_{t+d})``, whose product is
+    cond(<F>) times the basis of (I^2)_{t+d}, never the colon's
+    cond(I^2)·M^T, so the intersection stays an independent oracle.
     """
     if cfg.c != 2:
         raise ValueError("the colon identity is a c = 2 statement")
@@ -276,13 +279,16 @@ def verify_resolution_theorems(cfg: StarConfig) -> dict:
     """Computed vs predicted Betti tables for I^2 and I^(2) at c = 2.
 
     Returns the four tables and the per-ideal match flags; all comparisons
-    are entry-wise exact.  Both tables are computed through 2d, d the sum
-    of the form degrees: that is their Taylor ceiling, so they are
-    complete.  In the source ring the generators of the square and of the
-    uniform symbolic square of the monomial star ideal have exponents at
-    most 2, so every Taylor shift divides (y_1...y_s)^2, of weighted degree
-    2d, and the substitution y_i -> F_i carries the graded Betti numbers
-    over (Geramita-Harbourne-Migliore-Nagel).
+    are entry-wise exact.  Both tables are computed with degree bound 2d, d
+    the sum of the form degrees.  Each is complete by the regularity
+    certificate ``graded_betti`` computes (its ``regularity``): a
+    Bayer-Stillman check that the ideal is r-regular, after which level i
+    is walked through r + i <= 2d.  Without one, 2d is the fallback: it is
+    the Taylor ceiling.  In the source ring the generators of the square
+    and of the uniform symbolic square of the monomial star ideal have
+    exponents at most 2, so every Taylor shift divides (y_1...y_s)^2, of
+    weighted degree 2d, and the substitution y_i -> F_i carries the graded
+    Betti numbers over (Geramita-Harbourne-Migliore-Nagel).
     """
     if cfg.c != 2:
         raise ValueError("the resolution formulas are c = 2 statements")

@@ -34,6 +34,7 @@ CASES = {
     "sdefect_star_c2": ["sdefect", "--star", "random:degrees=[1,1,2,2],seed=7,c=2", "--m", "1..3"],
     "hilbert_points_s10": ["hilbert", "--points", "random:s=10,seed=1", "--m", "4"],
     "betti_star_p3": ["betti", "--star", "random:degrees=[1,1,1,1,1],seed=7,c=3,vars=4", "--m", "2"],
+    "betti_star_p3_m3": ["betti", "--star", "random:degrees=[1,1,1,1,1],seed=7,c=3,vars=4", "--m", "3"],
 }
 
 

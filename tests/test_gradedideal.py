@@ -29,10 +29,12 @@ from stardefect.monomial import (
 from stardefect.points import (
     ideal_of_points,
     power_ideal,
+    random_general_lines,
     random_general_points,
     regularity_points,
     sdefect_points,
     symbolic_power_pieces,
+    star_points_from_lines,
     symbolic_power_points,
 )
 from stardefect.poly import (
@@ -730,13 +732,40 @@ def test_graded_betti_matches_shift_walk(field, seed):
     assert table.row(1) == beta1 and table.row(2) == beta2
 
 
-@pytest.mark.parametrize("square", [False, True], ids=["star", "star-squared"])
-def test_kernel_walk_spans_r1_by_multiples_of_kept_representatives(monkeypatch, square):
+def _formed_kernel_degrees(monkeypatch, J: GradedIdeal, bound: int) -> tuple[BettiTable, list[list[int]]]:
+    """The table of J and, per syzygy level, the degrees at which graded_betti forms a kernel."""
+    real = gradedideal._kernel_steps
+    levels = []
+
+    def steps(reps, target, degrees, field, dims):
+        levels.append([])
+        for step in real(reps, target, degrees, field, dims):
+            levels[-1].append(step[0])
+            yield step
+
+    monkeypatch.setattr(gradedideal, "_kernel_steps", steps)
+    table = graded_betti(J, bound)
+    monkeypatch.setattr(gradedideal, "_kernel_steps", real)
+    return table, levels
+
+
+@pytest.mark.parametrize(
+    "square,certified,fallback",
+    [(False, [[6], []], [[6, 7, 8, 9, 10, 11, 12], []]), (True, [[10, 11], [12]], [[10, 11, 12], [12]])],
+    ids=["star", "star-squared"],
+)
+def test_kernel_walk_spans_r1_by_multiples_of_kept_representatives(monkeypatch, square, certified, fallback):
     # rows handed to the completion at kernel degree j: sum of dim R_{j-e} over the kept
-    # representatives (e), not nv * dim K_{j-1} as when the previous kernel was shifted
+    # representatives (e), not nv * dim K_{j-1} as when the previous kernel was shifted;
+    # the certified walk stops level i at r + i (r = 5 and 10 here), so the spans are
+    # checked on the walk to the bound, the fallback when no draw certifies
     cfg = random_star_config(3, 2, [1, 1, 2, 2], 7)
     J = power_ideal(star_ideal(cfg), 2) if square else star_ideal(cfg)
     bound = 2 * cfg.total_degree
+    table, levels = _formed_kernel_degrees(monkeypatch, _fresh(J), bound)
+    assert levels == certified and table.regularity == {"degree": 10 if square else 5, "seed": 0}
+    monkeypatch.setattr(gradedideal, "_bayer_stillman", lambda *args: None)  # no draw certifies
+    assert _formed_kernel_degrees(monkeypatch, _fresh(J), bound) == (table, fallback)
     walks = []
     real_steps, real_complete = gradedideal._kernel_steps, gradedideal._complete_in_subspace
 
@@ -820,8 +849,100 @@ def test_star_graded_betti_matches_two_level_oracle(nv, c, degrees, m):
     # the P^3 stars of codimension three have second syzygies
     cfg = random_star_config(nv, c, degrees, 7)
     J = symbolic_power_star_general(cfg, m)
-    bound = m * cfg.total_degree
-    assert graded_betti(J, bound) == _two_level_betti(_fresh(J), 2, bound)
+    _assert_certified_walk(J, m * cfg.total_degree)
+
+
+def _assert_certified_walk(J: GradedIdeal, bound: int) -> BettiTable:
+    """graded_betti equals the ceiling walk; a certified r is at least every j - i of the table."""
+    table = graded_betti(J, bound)
+    assert table == _two_level_betti(_fresh(J), 2, bound)
+    if table.regularity is not None:
+        r = table.regularity["degree"]
+        assert J.top_gen_degree() <= r <= bound - 2 and table.regularity["seed"] == r - J.top_gen_degree()
+        assert r >= max(j - i for (i, j), _ in table.entries)
+    return table
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), GF32003, PrimeField(8388593), QQ], ids=str)
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_certified_walk_matches_the_ceiling_walk_over_every_field(field, k):
+    # bounds two to four past the top generator degree, so the certificate is tried
+    rng = np.random.default_rng(400 + k)
+    certified = 0
+    for _ in range(6):
+        nv = int(rng.integers(2, 5))
+        gens = [_random_form(rng, nv, int(rng.integers(1, 3)), field) for _ in range(int(rng.integers(2, 6)))]
+        J = GradedIdeal(nv, gens, field)
+        certified += _assert_certified_walk(J, J.top_gen_degree() + int(rng.integers(2, 5))).regularity is not None
+    assert certified
+
+
+_GOLDEN_IDEALS = {
+    "betti_points": lambda: (symbolic_power_points(random_general_points(5, 1), 2), 7),
+    "betti_star": lambda: (symbolic_power_star_general(random_star_config(3, 2, [1, 1, 2], 7), 2), 8),
+    "betti_star_p3": lambda: (symbolic_power_star_general(random_star_config(4, 3, [1] * 5, 7), 2), 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_IDEALS))
+def test_certified_walk_matches_the_ceiling_walk_on_the_golden_ideals(name):
+    # the ideals and default bounds of tests/golden/betti_*.json (the m = 3 case is pinned by its golden)
+    _assert_certified_walk(*_GOLDEN_IDEALS[name]())
+
+
+@pytest.mark.parametrize("prime", [32003, 65537])
+@pytest.mark.parametrize("s", [5, 7, 8, 9])
+def test_certified_walk_matches_the_ceiling_walk_on_the_acceptance_tables(s, prime):
+    # the tables of acceptance criteria 3, 8 and 10: I_X, I_X^(2) and I_X^2 at their bounds
+    X = random_general_points(s, 1, prime)
+    reg = regularity_points(X)
+    I = ideal_of_points(X)
+    pred = betti_from_weyman(_assert_certified_walk(I, reg + 2))
+    _assert_certified_walk(symbolic_power_points(X, 2), 2 * reg + 2)
+    _assert_certified_walk(power_ideal(I, 2), max(j for (_, j) in pred.as_dict()) + 1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda s=s: random_general_points(s, 1) for s in range(1, 11)]
+    + [lambda k=k: star_points_from_lines(random_general_lines(k, 2)) for k in (3, 4, 5)],
+    ids=[f"points-{s}" for s in range(1, 11)] + [f"lines-{k}" for k in (3, 4, 5)],
+)
+def test_certified_walk_matches_the_ceiling_walk_on_points_and_lines(make):
+    # I_X^(m) at the ceiling m*reg(I_X) + 1 of betti --points, m = 1..4
+    X = make()
+    for m in range(1, 5):
+        _assert_certified_walk(symbolic_power_points(X, m), m * regularity_points(X) + 1)
+
+
+def test_a_failing_draw_walks_to_the_bound_with_the_same_table(monkeypatch):
+    # J = x2 (x0, x1, x2) is 2-regular, and x2 is a zero divisor on R/J: with every drawn
+    # coefficient 0 the form is h = x2, (J : h)_r = (x0, x1, x2)_r differs from J_r at
+    # every r, and no degree is certified
+    J = ideal("x0*x2", "x1*x2", "x2^2")
+    assert graded_betti(J, 6).regularity == {"degree": 2, "seed": 0}
+    monkeypatch.setattr(gradedideal, "splitmix64", lambda seed: iter(lambda: 0, None))
+    table = _assert_certified_walk(_fresh(J), 6)
+    assert table.regularity is None and table.as_dict() == {(0, 2): 3, (1, 3): 3, (2, 4): 1}
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), GF32003, QQ], ids=str)
+def test_bayer_stillman_reads_the_hilbert_function_two_past_r(field):
+    # whenever a draw certifies J r-regular (r = t..t+2), the returned HF(R/J)(r + 2) is
+    # the true one, and r bounds every j - i of the table walked to t + 4
+    rng = np.random.default_rng(500)
+    for _ in range(8):
+        nv = int(rng.integers(2, 5))
+        J = GradedIdeal(nv, [_random_form(rng, nv, int(rng.integers(1, 3)), field) for _ in range(int(rng.integers(2, 5)))], field)
+        t = J.top_gen_degree()
+        gens = [(d, coefficient_vector(g)) for d, forms in sorted(J.min_gens(t).items()) for g in forms]
+        table = _two_level_betti(_fresh(J), 2, t + 4)
+        for r in range(t, t + 3):
+            hf = [J.hilbert_function(r), J.hilbert_function(r + 1)]
+            after = gradedideal._bayer_stillman(gens, nv, r, hf, r - t, field)
+            if after is not None:
+                assert after == J.hilbert_function(r + 2)
+                assert r >= max(j - i for (i, j), _ in table.entries)
 
 
 def test_graded_betti_stops_at_the_first_level_that_keeps_nothing(monkeypatch):
@@ -839,32 +960,32 @@ def test_graded_betti_stops_at_the_first_level_that_keeps_nothing(monkeypatch):
     assert walks == [FreeModuleLayout(3, (0,)), FreeModuleLayout(3, (1,))]
 
 
-def _level_two_kernel_degrees(monkeypatch, J: GradedIdeal, bound: int) -> tuple[BettiTable, list[int]]:
-    """The table of J and the degrees at which graded_betti forms a level-2 (second syzygy) kernel."""
-    real = gradedideal._kernel_steps
-    levels = []
-
-    def steps(reps, target, degrees, field, dims):
-        levels.append(list(degrees))
-        return real(reps, target, degrees, field, dims)
-
-    monkeypatch.setattr(gradedideal, "_kernel_steps", steps)
-    table = graded_betti(J, bound)
-    monkeypatch.setattr(gradedideal, "_kernel_steps", real)
-    return table, levels[1] if len(levels) > 1 else []
-
-
-@pytest.mark.parametrize("nv,degrees", [(3, [1, 1, 1]), (3, [1, 1, 2, 2]), (3, [1, 2, 2, 3]), (4, [1, 1, 2, 2]), (4, [1, 2, 2, 3])])
-def test_resolution_thm_forms_level_two_kernels_only_where_beta_2_can_live(monkeypatch, nv, degrees):
-    # exactness: the level-1 generators span the first syzygies through the bound, so the
-    # second-syzygy kernel in degree j has dimension dim F_j - dim K_j; the square's beta_2
-    # sits at 2d, the symbolic square has a length-one resolution
+@pytest.mark.parametrize(
+    "nv,degrees,square_level_one,symbolic_level_one",
+    [
+        (3, [1, 1, 1], [5], [5]),
+        (3, [1, 1, 2, 2], [10, 11], [7, 9, 10, 11]),
+        (3, [1, 2, 2, 3], [13, 14, 15], [9, 11, 13, 14, 15]),
+        (4, [1, 1, 2, 2], [10, 11], [7, 9, 10, 11]),
+        (4, [1, 2, 2, 3], [13, 14, 15], [9, 11, 13, 14, 15]),
+    ],
+    ids=["3-degrees0", "3-degrees1", "3-degrees2", "4-degrees3", "4-degrees4"],
+)
+def test_resolution_thm_forms_level_two_kernels_only_where_beta_2_can_live(
+    monkeypatch, nv, degrees, square_level_one, symbolic_level_one
+):
+    # both tables are certified 2d - 2 regular (d the sum of the form degrees), so level 1
+    # stops at 2d - 1 and level 2 at 2d; exactness, with dim J_{2d} read off the
+    # certificate, leaves level 2 only the square's beta_2 at 2d, as the symbolic square
+    # has a length-one resolution
     cfg = random_star_config(nv, 2, degrees, 1)
     d = cfg.total_degree
-    square, sq_degrees = _level_two_kernel_degrees(monkeypatch, power_ideal(star_ideal(cfg), 2), 2 * d)
-    symbolic, sym_degrees = _level_two_kernel_degrees(monkeypatch, symbolic_power_star_general(cfg, 2), 2 * d)
-    assert sq_degrees == [2 * d] and square.row(2)
-    assert sym_degrees == [] and not symbolic.row(2)
+    certificate = {"degree": 2 * d - 2, "seed": 0}
+    square, sq_levels = _formed_kernel_degrees(monkeypatch, power_ideal(star_ideal(cfg), 2), 2 * d)
+    symbolic, sym_levels = _formed_kernel_degrees(monkeypatch, symbolic_power_star_general(cfg, 2), 2 * d)
+    assert sq_levels == [square_level_one, [2 * d]] and square.row(2)
+    assert sym_levels == [symbolic_level_one, []] and not symbolic.row(2)
+    assert square.regularity == symbolic.regularity == certificate
 
 
 def test_graded_betti_stops_at_homological_degree_two():

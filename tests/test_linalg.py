@@ -230,6 +230,60 @@ def test_intersection_dimension_formula(seed, n):
     assert A.contains_rows(inter.basis) and B.contains_rows(inter.basis)
 
 
+def _stacked_intersection(A: Subspace, B: Subspace) -> Subspace:
+    """Oracle: the kernel of both subspaces' conditions, stacked."""
+    return Subspace.kernel(np.concatenate([A.conditions(), B.conditions()]), A.field)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 8),
+    st.sampled_from(["random", "zero", "full", "equal", "disjoint"]),
+    st.sampled_from([PrimeField(5), GF32003, QQ]),
+)
+def test_intersect_matches_the_stacked_conditions_oracle(seed, n, kind, field):
+    rng = np.random.default_rng(seed)
+
+    def random_subspace():
+        return Subspace.from_rows(field.matrix(rng.integers(-3, 4, size=(int(rng.integers(1, n + 1)), n))), field)
+
+    A = random_subspace()
+    if kind == "random":
+        B = random_subspace()
+    elif kind == "zero":
+        B = Subspace.zero(n, field)
+    elif kind == "full":
+        B = Subspace.full(n, field)
+    elif kind == "equal":
+        B = A
+    else:  # the coordinate span of A's non-pivot columns meets A in 0
+        free = [q for q in range(n) if q not in A.pivots]
+        B = Subspace.from_rows(linalg._identity(n, field)[free], field)
+    for X, Y in ((A, B), (B, A)):
+        inter = X.intersect(Y)
+        oracle = _stacked_intersection(X, Y)
+        assert inter == oracle and inter.pivots == oracle.pivots
+    expected = {"zero": 0, "full": A.dim, "equal": A.dim, "disjoint": 0}
+    if kind in expected:
+        assert A.intersect(B).dim == expected[kind]
+
+
+@pytest.mark.parametrize(
+    "A,B",
+    [
+        (Subspace.zero(3, GF32003), Subspace.zero(4, GF32003)),
+        (Subspace.full(3, GF32003), Subspace.zero(4, GF32003)),
+        (Subspace.from_rows(GF32003.matrix([[1, 2, 0]]), GF32003), Subspace.full(4, GF32003)),
+    ],
+)
+def test_intersect_rejects_a_width_mismatch(A, B):
+    # also where one side is zero, which needs no product
+    for X, Y in ((A, B), (B, A)):
+        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+            X.intersect(Y)
+
+
 def test_field_cross_check_dimensions():
     rng = np.random.default_rng(11)
     M = rng.integers(-5, 6, size=(20, 30))

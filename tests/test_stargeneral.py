@@ -1,10 +1,10 @@
 import pytest
 
-from stardefect.gradedideal import check_alternating_sum, GradedIdeal, ideals_equal
-from stardefect.linalg import GF32003
+from stardefect.gradedideal import check_alternating_sum, GradedIdeal, ideals_equal, multiples
+from stardefect.linalg import GF32003, Subspace
 from stardefect.monomial import star_monomial, symbolic_power_star
-from stardefect.points import random_general_lines
-from stardefect.poly import HomogPoly, parse_form
+from stardefect.points import power_ideal, random_general_lines
+from stardefect.poly import HomogPoly, parse_form, substitute
 from stardefect.stargeneral import (
     CertificationError,
     StarConfig,
@@ -132,6 +132,29 @@ def test_colon_lemma_three_lines_and_mixed_degrees():
     assert colon_lemma_check(StarConfig.build(3, 2, lines))
     cfg = random_star_config(4, 2, [1, 1, 2, 2], seed=5)
     assert colon_lemma_check(cfg)
+
+
+def test_colon_lemma_intersects_the_square_piece_with_the_span_of_f(monkeypatch):
+    # part (ii) stays independent of the colon kernel: intersect is called on (I^2)_{t+d}
+    # with <F>_{t+d} as the other side, so its product is cond(<F>) (I^2)_{t+d}^T, not
+    # the colon's cond(I^2) M^T
+    cfg = random_star_config(3, 2, [1, 1, 2, 2], 7)
+    calls = []
+    real = Subspace.intersect
+
+    def intersect(self, other):
+        calls.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(Subspace, "intersect", intersect)
+    assert colon_lemma_check(cfg)
+    i2 = power_ideal(star_ideal(cfg), 2)
+    F = substitute((1,) * cfg.s, cfg.forms)
+    d = F.degree
+    assert len(calls) == star_ideal(cfg, 3).top_gen_degree() + 2
+    for t, (target, span) in enumerate(calls):
+        assert target == i2.graded_piece(t + d)
+        assert span == Subspace.from_rows(multiples(3, [F], t + d, cfg.field), cfg.field)
 
 
 def test_colon_lemma_monomial_specialization():
